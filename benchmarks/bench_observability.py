@@ -1,14 +1,17 @@
 """Engineering guard -- event recording must not tax the hot loop.
 
-The observability layer hooks the array-state timing engine
-(:meth:`repro.memory3d.memory.Memory3D._simulate_fast`): with recording
+The observability layer hooks the exact timing engine
+(:meth:`repro.memory3d.memory.Memory3D._simulate_exact`, the one
+per-request loop that prices healthy and faulted runs): with recording
 off the loop pays a single pointer test per request, with an
 :class:`~repro.obs.EventTrace` attached it additionally appends one
-columnar record per event.  This benchmark pins both costs:
+columnar record per event.  The same loop carries the fault hooks and
+the refresh/storm lockouts behind flags computed before it starts, so
+this benchmark also pins what a healthy run pays for them:
 
-* recorder **off** vs a seed replica of the loop (the pre-instrumentation
-  engine, inlined below): within a few percent -- the instrumentation is
-  free unless asked for;
+* recorder **off** vs a seed replica of the loop (the pre-instrumentation,
+  fault-free engine, inlined below): within a few percent -- the
+  instrumentation and the fault machinery are free unless asked for;
 * recorder **on**: bounded constant factor, reported for the record.
 
 Run quick mode (``pytest benchmarks/bench_observability.py --quick``)
@@ -23,6 +26,12 @@ import numpy as np
 
 from conftest import banner, write_bench_json
 from repro.memory3d import AccessStats, Memory3D, pact15_hmc_config
+from repro.memory3d.timebase import (
+    mean_latency_ns,
+    ns_array_to_ps,
+    ns_to_ps,
+    ps_to_ns,
+)
 from repro.obs import EventTrace
 from repro.trace import TraceArray
 from repro.units import ELEMENT_BYTES
@@ -37,26 +46,30 @@ QUICK = (16_384, 3, 1.25)
 def seed_simulate_fast(
     memory: Memory3D, trace: TraceArray, discipline: str
 ) -> AccessStats:
-    """Verbatim replica of the pre-instrumentation array-state hot loop.
+    """Replica of the pre-instrumentation array-state hot loop.
 
-    The seed engine (commit 4b3fa0b) this PR's instrumented loop is
-    measured against: identical per-request rules and stats assembly,
-    no recorder gate.  Agreement is asserted before timing.
+    The seed engine (commit 4b3fa0b) the instrumented loop is measured
+    against: identical per-request rules and stats assembly, no recorder
+    gate, no fault hooks.  It is ported to the engines' integer-picosecond
+    timebase (ns converted on entry, back on exit) so its stats equal the
+    live engine's exactly; agreement is asserted before timing.
     """
     cfg = memory.config
     timing = cfg.timing
-    t_in_row = timing.t_in_row
-    t_in_vault = timing.t_in_vault
-    t_diff_bank = timing.t_diff_bank
-    t_diff_row = timing.t_diff_row
+    t_in_row = ns_to_ps(timing.t_in_row)
+    t_in_vault = ns_to_ps(timing.t_in_vault)
+    t_diff_bank = ns_to_ps(timing.t_diff_bank)
+    t_diff_row = ns_to_ps(timing.t_diff_row)
     n_layers = cfg.layers
     banks_per_vault = cfg.banks_per_vault
     in_order = discipline == "in_order"
     refresh = cfg.refresh
     if refresh is not None:
-        refi = refresh.t_refi_ns
-        rfc = refresh.t_rfc_ns
-        refresh_offset = [v * refi / cfg.vaults for v in range(cfg.vaults)]
+        refi = ns_to_ps(refresh.t_refi_ns)
+        rfc = ns_to_ps(refresh.t_rfc_ns)
+        refresh_offset = [
+            ns_to_ps(v * refresh.t_refi_ns / cfg.vaults) for v in range(cfg.vaults)
+        ]
 
     vaults_arr, banks_arr, rows_arr, _ = memory.mapping.decode_array(trace.addresses)
     gbank_list = (vaults_arr * banks_per_vault + banks_arr).tolist()
@@ -64,27 +77,29 @@ def seed_simulate_fast(
     bank_list = banks_arr.tolist()
     row_list = rows_arr.tolist()
     arrival_list = (
-        trace.arrival_ns.tolist() if trace.arrival_ns is not None else None
+        ns_array_to_ps(trace.arrival_ns).tolist()
+        if trace.arrival_ns is not None
+        else None
     )
 
     n_banks = cfg.total_banks
     n_vaults = cfg.vaults
     open_row = [-1] * n_banks
-    bank_next_act = [0.0] * n_banks
-    tsv_next = [0.0] * n_vaults
+    bank_next_act = [0] * n_banks
+    tsv_next = [0] * n_vaults
     last_act_time = [_NEG_INF] * n_vaults
     last_act_layer = [-1] * n_vaults
     last_act_bank = [-1] * n_vaults
-    vault_ready = [0.0] * n_vaults
-    stream_ready = 0.0
+    vault_ready = [0] * n_vaults
+    stream_ready = 0
 
     activations = 0
     hits = 0
-    first_completion = 0.0
-    last_completion = 0.0
+    first_completion = 0
+    last_completion = 0
 
-    latency_sum = 0.0
-    latency_max = 0.0
+    latency_sum = 0
+    latency_max = 0
 
     for i, gbank in enumerate(gbank_list):
         vid = vault_list[i]
@@ -148,22 +163,23 @@ def seed_simulate_fast(
                 latency_max = latency
 
     busy = {
-        vid: tsv_next[vid] for vid in range(n_vaults) if tsv_next[vid] > 0.0
+        vid: ps_to_ns(tsv_next[vid]) for vid in range(n_vaults) if tsv_next[vid] > 0
     }
     n_requests = len(trace)
     return AccessStats(
         requests=n_requests,
         bytes_transferred=n_requests * ELEMENT_BYTES,
-        elapsed_ns=last_completion,
+        elapsed_ns=ps_to_ns(last_completion),
         row_activations=activations,
         row_hits=hits,
         per_vault_busy_ns=busy,
-        first_response_ns=first_completion,
+        first_response_ns=ps_to_ns(first_completion),
         mean_request_latency_ns=(
-            latency_sum / n_requests if arrival_list is not None and n_requests
+            mean_latency_ns(latency_sum, n_requests)
+            if arrival_list is not None
             else 0.0
         ),
-        max_request_latency_ns=latency_max,
+        max_request_latency_ns=ps_to_ns(latency_max),
     )
 
 

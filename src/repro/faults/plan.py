@@ -190,8 +190,9 @@ class FaultState:
         #: Per-request extra service nanoseconds (LatencyJitter).
         self.jitter: list[float] | None = None
         self.jitter_ns = 0.0
-        #: (period, duration, phase_offsets_per_vault, vault_set) tuples.
-        self.storms: tuple[tuple[float, float, list[float], frozenset[int] | None], ...] = ()
+        #: (period, duration, vault_set) tuples; the engine staggers each
+        #: window across vaults exactly like DRAM refresh.
+        self.storms: tuple[tuple[float, float, frozenset[int] | None], ...] = ()
         self.storm_stall_ns = 0.0
         #: (window_ns, threshold_busy_ns, extra_per_beat_factor) or None.
         self.throttle: tuple[float, float, float] | None = None
@@ -262,12 +263,8 @@ def compile_plan(
             vault_set = (
                 None if injector.vaults is None else frozenset(injector.vaults)
             )
-            offsets = [
-                v * injector.period_ns / config.vaults
-                for v in range(config.vaults)
-            ]
             state.storms = state.storms + (
-                (injector.period_ns, injector.duration_ns, offsets, vault_set),
+                (injector.period_ns, injector.duration_ns, vault_set),
             )
         elif isinstance(injector, ThermalThrottle):
             state.throttle = (

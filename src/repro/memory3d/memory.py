@@ -22,7 +22,11 @@ Two engines price a trace:
     The per-request array-state loop below -- the reference semantics.
     Its rules are exactly those of
     :class:`~repro.memory3d.vault.VaultTimingModel` (cross-checked in the
-    tests); faults, refresh, recorders and every other feature run here.
+    tests).  One loop prices healthy and faulted runs alike: DRAM refresh
+    and refresh-storm windows are the same periodic per-vault lockout,
+    and the other fault hooks, like the event recorder, sit behind flags
+    set before the loop starts.  Faults, refresh, recorders and every
+    other feature run here.
 
 ``vector``
     The numpy batch engine in :mod:`repro.memory3d.vector`: whole-trace
@@ -76,8 +80,6 @@ from repro.units import ELEMENT_BYTES
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> memory3d)
     from repro.faults.plan import FaultPlan, FaultState
 
-_NEG_INF = float("-inf")
-
 #: Integer stand-in for "no activation yet" in the picosecond engines.
 _NO_ACT = -(1 << 62)
 
@@ -104,14 +106,15 @@ def _check_trace(trace: Any) -> Any:
 
 def _as_trace(trace: Any) -> TraceArray:
     """Accept a TraceArray or anything expandable into one (CompiledTrace)."""
-    if isinstance(trace, TraceArray):
-        return trace
-    expand = getattr(trace, "expand", None)
-    if callable(expand):
-        return expand()
-    raise SimulationError(
-        f"expected a TraceArray or CompiledTrace, got {type(trace).__name__}"
-    )
+    trace = _check_trace(trace)
+    return trace if isinstance(trace, TraceArray) else trace.expand()
+
+
+def _check_discipline(discipline: str) -> None:
+    if discipline not in DISCIPLINES:
+        raise SimulationError(
+            f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}"
+        )
 
 
 class Memory3D:
@@ -119,12 +122,15 @@ class Memory3D:
 
     An optional :class:`~repro.obs.events.Recorder` (e.g. an
     :class:`~repro.obs.events.EventTrace`) receives typed per-request
-    events -- ACTIVATE, ROW_HIT, REFRESH_STALL, TSV_CONTENTION -- from
-    both serial engines.  The default :data:`~repro.obs.events.NULL_RECORDER`
-    disables recording; the hot loop then pays a single pointer test per
-    request (benchmarked in ``benchmarks/bench_observability.py``).
-    An enabled recorder forces the exact engine (the vector engine
-    aggregates counts instead of emitting per-request events).
+    events -- ACTIVATE, ROW_HIT, REFRESH_STALL, TSV_CONTENTION, and
+    BIT_ERROR under a fault plan -- from the exact loop and from
+    :meth:`simulate_reference`.  The default
+    :data:`~repro.obs.events.NULL_RECORDER` disables recording; the hot
+    loop then pays a single flag test per request, and a run without
+    a fault plan skips the fault hooks the same way (both benchmarked in
+    ``benchmarks/bench_observability.py``).  An enabled recorder forces
+    the exact engine (the vector engine aggregates counts instead of
+    emitting per-request events).
     """
 
     def __init__(
@@ -182,10 +188,7 @@ class Memory3D:
                 otherwise -- see :attr:`last_fallback_reason`).
         """
         trace = _check_trace(trace)
-        if discipline not in DISCIPLINES:
-            raise SimulationError(
-                f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}"
-            )
+        _check_discipline(discipline)
         total = len(trace)
         if total == 0:
             return AccessStats()
@@ -250,10 +253,7 @@ class Memory3D:
                     return out
             self.last_fallback_reason = reason
         self.last_engine = "exact"
-        run = _as_trace(run)
-        if faults is not None:
-            return self._simulate_faulted(run, discipline, faults, record)
-        return self._simulate_fast(run, discipline, record)
+        return self._simulate_exact(_as_trace(run), discipline, faults, record)
 
     def simulate_reference(
         self, trace: TraceArray, discipline: str = "in_order"
@@ -262,13 +262,10 @@ class Memory3D:
 
         Used by the tests to validate the array-state hot loop; behaviour is
         identical by construction of the shared rules.  Feeds the same
-        event stream to an attached recorder as the fast engine does, so
+        event stream to an attached recorder as the exact loop does, so
         the instrumentation is cross-checked the same way the timing is.
         """
-        if discipline not in DISCIPLINES:
-            raise SimulationError(
-                f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}"
-            )
+        _check_discipline(discipline)
         recorder = self.recorder
         record_event = recorder.record if recorder.enabled else None
         timing = self.config.timing
@@ -386,10 +383,7 @@ class Memory3D:
         tags = np.asarray(tags, dtype=np.int64)
         if tags.shape != trace.addresses.shape:
             raise SimulationError("tags shape must match the trace")
-        if discipline not in DISCIPLINES:
-            raise SimulationError(
-                f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}"
-            )
+        _check_discipline(discipline)
         if len(trace) == 0:
             return {-1: AccessStats()}
         faults = self._compile_faults(fault_plan, len(trace))
@@ -428,10 +422,7 @@ class Memory3D:
         whose entry *i* is the average bandwidth over
         ``[i * bucket_ns, (i+1) * bucket_ns)``.
         """
-        if discipline not in DISCIPLINES:
-            raise SimulationError(
-                f"unknown discipline {discipline!r}; expected one of {DISCIPLINES}"
-            )
+        _check_discipline(discipline)
         if bucket_ns <= 0:
             raise SimulationError(f"bucket_ns must be positive, got {bucket_ns}")
         run = _check_trace(trace)
@@ -472,227 +463,37 @@ class Memory3D:
         }
 
     # -------------------------------------------------------------- hot loop
-    def _simulate_fast(
-        self, trace: TraceArray, discipline: str, record: bool = False
-    ) -> tuple[AccessStats, np.ndarray | None]:
-        """Array-state per-request engine (same rules as VaultTimingModel).
-
-        All internal arithmetic is integer picoseconds (see
-        :mod:`repro.memory3d.timebase`): associativity of integer
-        ``max``/``add`` is what makes the vectorized engine's scans
-        bit-identical to this loop.  Nanoseconds are converted at entry
-        (timing parameters, arrivals) and exit (stats, completions).
-
-        With ``record=True`` the per-request completion times are returned
-        alongside the stats (for :meth:`bandwidth_timeline`).
-
-        Event recording is gated on a single local (``record_event``):
-        with the default :class:`~repro.obs.events.NullRecorder` the loop
-        body performs exactly one extra pointer comparison per request,
-        keeping the uninstrumented path at seed throughput.
-        """
-        cfg = self.config
-        timing = cfg.timing
-        t_in_row = ns_to_ps(timing.t_in_row)
-        t_in_vault = ns_to_ps(timing.t_in_vault)
-        t_diff_bank = ns_to_ps(timing.t_diff_bank)
-        t_diff_row = ns_to_ps(timing.t_diff_row)
-        n_layers = cfg.layers
-        banks_per_vault = cfg.banks_per_vault
-        in_order = discipline == "in_order"
-        recorder = self.recorder
-        record_event = recorder.record if recorder.enabled else None
-        stall = 0
-        stall_ts = 0
-        refresh = cfg.refresh
-        if refresh is not None:
-            refi = ns_to_ps(refresh.t_refi_ns)
-            rfc = ns_to_ps(refresh.t_rfc_ns)
-            refresh_offset = [
-                ns_to_ps(v * refresh.t_refi_ns / cfg.vaults)
-                for v in range(cfg.vaults)
-            ]
-
-        vaults_arr, banks_arr, rows_arr, _ = self.mapping.decode_array(trace.addresses)
-        # Global bank ids flatten (vault, bank) so state lives in flat lists.
-        gbank_list = (vaults_arr * banks_per_vault + banks_arr).tolist()
-        vault_list = vaults_arr.tolist()
-        bank_list = banks_arr.tolist()
-        row_list = rows_arr.tolist()
-        arrival_list = (
-            ns_array_to_ps(trace.arrival_ns).tolist()
-            if trace.arrival_ns is not None
-            else None
-        )
-
-        n_banks = cfg.total_banks
-        n_vaults = cfg.vaults
-        open_row = [-1] * n_banks
-        bank_next_act = [0] * n_banks
-        tsv_next = [0] * n_vaults
-        last_act_time = [_NO_ACT] * n_vaults
-        last_act_layer = [-1] * n_vaults
-        last_act_bank = [-1] * n_vaults
-        vault_ready = [0] * n_vaults
-        stream_ready = 0
-
-        activations = 0
-        hits = 0
-        first_completion = 0
-        last_completion = 0
-        completions: list[int] | None = [] if record else None
-
-        latency_sum = 0
-        latency_max = 0
-
-        for i, gbank in enumerate(gbank_list):
-            vid = vault_list[i]
-            row = row_list[i]
-            ready = stream_ready if in_order else vault_ready[vid]
-            if arrival_list is not None and arrival_list[i] > ready:
-                ready = arrival_list[i]
-            if open_row[gbank] == row:
-                hits += 1
-                tsv_prev = tsv_next[vid]
-                beat = tsv_prev if tsv_prev > ready else ready
-                if refresh is not None:
-                    stall = 0
-                    phase = (beat - refresh_offset[vid]) % refi
-                    if phase < rfc:
-                        stall = rfc - phase
-                        stall_ts = beat
-                        beat += stall
-                completion = beat + t_in_row
-                if record_event is not None:
-                    bank = bank_list[i]
-                    if tsv_prev > ready:
-                        record_event(
-                            EV_TSV_CONTENTION, vid, bank, row, ps_to_ns(ready),
-                            ps_to_ns(tsv_prev - ready),
-                        )
-                    if stall > 0:
-                        record_event(
-                            EV_REFRESH_STALL, vid, bank, row,
-                            ps_to_ns(stall_ts), ps_to_ns(stall),
-                        )
-                    record_event(
-                        EV_ROW_HIT, vid, bank, row, ps_to_ns(beat),
-                        timing.t_in_row,
-                    )
-            else:
-                act = bank_next_act[gbank]
-                if ready > act:
-                    act = ready
-                prev_act = last_act_time[vid]
-                bank = bank_list[i]
-                if prev_act != _NO_ACT and last_act_bank[vid] != bank:
-                    layer = bank % n_layers
-                    gap = t_diff_bank if layer == last_act_layer[vid] else t_in_vault
-                    gated = prev_act + gap
-                    if gated > act:
-                        act = gated
-                if refresh is not None:
-                    stall = 0
-                    stall_ts = act
-                    phase = (act - refresh_offset[vid]) % refi
-                    if phase < rfc:
-                        stall = rfc - phase
-                        act += stall
-                open_row[gbank] = row
-                bank_next_act[gbank] = act + t_diff_row
-                last_act_time[vid] = act
-                last_act_layer[vid] = bank % n_layers
-                last_act_bank[vid] = bank
-                activations += 1
-                tsv_prev = tsv_next[vid]
-                beat = tsv_prev if tsv_prev > act else act
-                if refresh is not None:
-                    phase = (beat - refresh_offset[vid]) % refi
-                    if phase < rfc:
-                        extra = rfc - phase
-                        if stall == 0:
-                            stall_ts = beat
-                        stall += extra
-                        beat += extra
-                completion = beat + t_in_row
-                if record_event is not None:
-                    record_event(
-                        EV_ACTIVATE, vid, bank, row, ps_to_ns(act),
-                        timing.t_diff_row,
-                    )
-                    if tsv_prev > act:
-                        record_event(
-                            EV_TSV_CONTENTION, vid, bank, row, ps_to_ns(act),
-                            ps_to_ns(tsv_prev - act),
-                        )
-                    if stall > 0:
-                        record_event(
-                            EV_REFRESH_STALL, vid, bank, row,
-                            ps_to_ns(stall_ts), ps_to_ns(stall),
-                        )
-            tsv_next[vid] = completion
-            if in_order:
-                stream_ready = completion
-            else:
-                vault_ready[vid] = completion
-            if i == 0:
-                first_completion = completion
-            if completion > last_completion:
-                last_completion = completion
-            if completions is not None:
-                completions.append(completion)
-            if arrival_list is not None:
-                latency = completion - arrival_list[i]
-                latency_sum += latency
-                if latency > latency_max:
-                    latency_max = latency
-
-        busy = {
-            vid: ps_to_ns(tsv_next[vid])
-            for vid in range(n_vaults)
-            if tsv_next[vid] > 0
-        }
-        n_requests = len(trace)
-        stats = AccessStats(
-            requests=n_requests,
-            bytes_transferred=n_requests * ELEMENT_BYTES,
-            elapsed_ns=ps_to_ns(last_completion),
-            row_activations=activations,
-            row_hits=hits,
-            per_vault_busy_ns=busy,
-            first_response_ns=ps_to_ns(first_completion),
-            mean_request_latency_ns=(
-                mean_latency_ns(latency_sum, n_requests)
-                if arrival_list is not None
-                else 0.0
-            ),
-            max_request_latency_ns=ps_to_ns(latency_max),
-        )
-        recorded = (
-            ps_array_to_ns(np.asarray(completions, dtype=np.int64))
-            if record
-            else None
-        )
-        return stats, recorded
-
-    # ----------------------------------------------------------- faulted loop
-    def _simulate_faulted(
+    def _simulate_exact(
         self,
         trace: TraceArray,
         discipline: str,
-        faults: FaultState,
-        record: bool = False,
+        faults: FaultState | None,
+        record: bool,
     ) -> tuple[AccessStats, np.ndarray | None]:
-        """The fault-injected twin of :meth:`_simulate_fast`.
+        """The exact per-request engine (same rules as VaultTimingModel).
 
-        Kept as a separate loop so the healthy hot path pays nothing for
-        the fault machinery; the rules are identical plus, per request:
-        vault remapping, storm lockouts, thermal beat stretching, seeded
-        jitter and ECC correction penalties.  With an all-identity
-        :class:`~repro.faults.plan.FaultState` the produced stats equal
-        the fast engine's exactly (cross-checked in the tests).  Like the
-        healthy loop, the arithmetic is integer picoseconds; the fault
-        plan's ns magnitudes are converted once on entry.
+        One loop prices healthy and faulted runs alike.  All internal
+        arithmetic is integer picoseconds (see
+        :mod:`repro.memory3d.timebase`): associativity of integer
+        ``max``/``add`` is what makes the vectorized engine's scans
+        bit-identical to this loop.  Nanoseconds are converted at entry
+        (timing parameters, arrivals, fault magnitudes) and exit (stats,
+        completions).
+
+        DRAM refresh and :class:`~repro.faults.injectors.RefreshStorm`
+        windows are one mechanism: periodic per-vault lockouts that defer
+        an activation or a TSV beat landing inside them.  Refresh is the
+        all-vault lockout staggered by ``v * t_refi / vaults``; only storm
+        lockouts count towards ``storm_stall_ns``.  The remaining fault
+        hooks (thermal throttling, jitter, ECC penalties) sit behind one
+        flag computed before the loop.
+
+        With ``record=True`` the per-request completion times are returned
+        alongside the stats (for :meth:`bandwidth_timeline`).  They,
+        arrival latencies and recorder events share one more flag, so a
+        healthy, refresh-free, unrecorded run pays a few local flag tests
+        per request for every optional feature (benchmarked against the
+        seed loop in ``benchmarks/bench_observability.py``).
         """
         cfg = self.config
         timing = cfg.timing
@@ -701,47 +502,53 @@ class Memory3D:
         t_diff_bank = ns_to_ps(timing.t_diff_bank)
         t_diff_row = ns_to_ps(timing.t_diff_row)
         n_layers = cfg.layers
-        banks_per_vault = cfg.banks_per_vault
+        n_vaults = cfg.vaults
         in_order = discipline == "in_order"
         recorder = self.recorder
         record_event = recorder.record if recorder.enabled else None
-        stall = 0
-        stall_ts = 0
-        refresh = cfg.refresh
-        if refresh is not None:
-            refi = ns_to_ps(refresh.t_refi_ns)
-            rfc = ns_to_ps(refresh.t_rfc_ns)
-            refresh_offset = [
-                ns_to_ps(v * refresh.t_refi_ns / cfg.vaults)
-                for v in range(cfg.vaults)
-            ]
 
         vaults_arr, banks_arr, rows_arr, _ = self.mapping.decode_array(trace.addresses)
-        f_remap = faults.remap
-        if f_remap is not None:
-            remap_arr = np.asarray(f_remap, dtype=vaults_arr.dtype)
-            remapped = remap_arr[vaults_arr]
-            faults.remapped_requests = int((remapped != vaults_arr).sum())
-            vaults_arr = remapped
-        f_jitter = (
-            ns_array_to_ps(np.asarray(faults.jitter)).tolist()
-            if faults.jitter is not None
-            else None
-        )
-        f_storms = tuple(
-            (
-                ns_to_ps(period),
-                ns_to_ps(duration),
-                [ns_to_ps(off) for off in offsets],
-                vault_set,
-            )
-            for period, duration, offsets, vault_set in faults.storms
-        )
-        f_throttle = faults.throttle
-        f_errors = faults.error_class
-        f_correction = ns_to_ps(faults.correction_ns)
+        # Periodic lockouts as (period_ns, duration_ns, vault set or None
+        # for all, counts as storm): refresh first, then the plan's storms.
+        windows: list[tuple[float, float, frozenset[int] | None, bool]] = []
+        if cfg.refresh is not None:
+            windows.append((cfg.refresh.t_refi_ns, cfg.refresh.t_rfc_ns, None, False))
+        throttle: tuple[float, float, float] | None = None
+        jitter: list[int] | None = None
+        errors: list[int] | None = None
+        correction_ns = 0.0
+        if faults is not None:
+            if faults.remap is not None:
+                remapped = np.asarray(faults.remap, dtype=vaults_arr.dtype)[vaults_arr]
+                faults.remapped_requests = int((remapped != vaults_arr).sum())
+                vaults_arr = remapped
+            windows.extend((*storm, True) for storm in faults.storms)
+            throttle = faults.throttle
+            if faults.jitter is not None:
+                jitter = ns_array_to_ps(np.asarray(faults.jitter)).tolist()
+            errors = faults.error_class
+            correction_ns = faults.correction_ns
+        correction = ns_to_ps(correction_ns)
+        # Per vault: (period, duration, phase offset, counts as storm) in ps,
+        # the offset staggering vault v's windows by v / vaults of a period.
+        lockouts = [
+            [
+                (
+                    ns_to_ps(period),
+                    ns_to_ps(duration),
+                    ns_to_ps(v * period / n_vaults),
+                    storm,
+                )
+                for period, duration, vault_set, storm in windows
+                if vault_set is None or v in vault_set
+            ]
+            for v in range(n_vaults)
+        ]
+        locking = bool(windows)
+        hooks = throttle is not None or jitter is not None or errors is not None
 
-        gbank_list = (vaults_arr * banks_per_vault + banks_arr).tolist()
+        # Global bank ids flatten (vault, bank) so state lives in flat lists.
+        gbank_list = (vaults_arr * cfg.banks_per_vault + banks_arr).tolist()
         vault_list = vaults_arr.tolist()
         bank_list = banks_arr.tolist()
         row_list = rows_arr.tolist()
@@ -750,21 +557,21 @@ class Memory3D:
             if trace.arrival_ns is not None
             else None
         )
+        # Per-request outputs beyond the aggregate counts, behind one flag.
+        observed = record or arrival_list is not None or record_event is not None
 
-        n_banks = cfg.total_banks
-        n_vaults = cfg.vaults
-        open_row = [-1] * n_banks
-        bank_next_act = [0] * n_banks
+        open_row = [-1] * cfg.total_banks
+        bank_next_act = [0] * cfg.total_banks
         tsv_next = [0] * n_vaults
         last_act_time = [_NO_ACT] * n_vaults
         last_act_layer = [-1] * n_vaults
         last_act_bank = [-1] * n_vaults
         vault_ready = [0] * n_vaults
         stream_ready = 0
-        if f_throttle is not None:
-            window_ps = ns_to_ps(f_throttle[0])
-            busy_limit_ps = ns_to_ps(f_throttle[1])
-            extra_per_beat = ns_to_ps(timing.t_in_row * f_throttle[2])
+        if throttle is not None:
+            window_ps = ns_to_ps(throttle[0])
+            busy_limit_ps = ns_to_ps(throttle[1])
+            extra_per_beat = ns_to_ps(timing.t_in_row * throttle[2])
             win_start = [0] * n_vaults
             win_busy = [0] * n_vaults
             throttled = [False] * n_vaults
@@ -774,12 +581,21 @@ class Memory3D:
         first_completion = 0
         last_completion = 0
         completions: list[int] | None = [] if record else None
-
-        jitter_total = 0
-        storm_total = 0
-        throttle_total = 0
         latency_sum = 0
         latency_max = 0
+        # Lockout stall of the current request and when it began.  Only
+        # the recorder reads them; it zeroes ``stall`` once reported, so
+        # every request starts from zero whenever they matter.
+        stall = 0
+        stall_ts = 0
+        recorded_activations = 0
+        beat_time = t_in_row
+        storm_total = 0
+        throttle_total = 0
+        throttled_windows = 0
+        jitter_total = 0
+        corrected = 0
+        uncorrectable = 0
 
         for i, gbank in enumerate(gbank_list):
             vid = vault_list[i]
@@ -789,28 +605,6 @@ class Memory3D:
                 ready = arrival_list[i]
             if open_row[gbank] == row:
                 hits += 1
-                tsv_prev = tsv_next[vid]
-                beat = tsv_prev if tsv_prev > ready else ready
-                stall = 0
-                if refresh is not None:
-                    phase = (beat - refresh_offset[vid]) % refi
-                    if phase < rfc:
-                        stall = rfc - phase
-                        stall_ts = beat
-                        beat += stall
-                for period, duration, offsets, vault_set in f_storms:
-                    if vault_set is not None and vid not in vault_set:
-                        continue
-                    phase = (beat - offsets[vid]) % period
-                    if phase < duration:
-                        extra = duration - phase
-                        if stall == 0:
-                            stall_ts = beat
-                        stall += extra
-                        beat += extra
-                        storm_total += extra
-                hit = True
-                act = beat  # event timestamp base for the beat
             else:
                 act = bank_next_act[gbank]
                 if ready > act:
@@ -823,117 +617,73 @@ class Memory3D:
                     gated = prev_act + gap
                     if gated > act:
                         act = gated
-                stall = 0
-                stall_ts = act
-                if refresh is not None:
-                    phase = (act - refresh_offset[vid]) % refi
-                    if phase < rfc:
-                        stall = rfc - phase
-                        act += stall
-                for period, duration, offsets, vault_set in f_storms:
-                    if vault_set is not None and vid not in vault_set:
-                        continue
-                    phase = (act - offsets[vid]) % period
-                    if phase < duration:
-                        extra = duration - phase
-                        stall += extra
-                        act += extra
-                        storm_total += extra
+                if locking:
+                    for period, duration, offset, storm in lockouts[vid]:
+                        phase = (act - offset) % period
+                        if phase < duration:
+                            extra = duration - phase
+                            if stall == 0:
+                                stall_ts = act
+                            stall += extra
+                            act += extra
+                            if storm:
+                                storm_total += extra
                 open_row[gbank] = row
                 bank_next_act[gbank] = act + t_diff_row
                 last_act_time[vid] = act
                 last_act_layer[vid] = bank % n_layers
                 last_act_bank[vid] = bank
                 activations += 1
-                tsv_prev = tsv_next[vid]
-                beat = tsv_prev if tsv_prev > act else act
-                if refresh is not None:
-                    phase = (beat - refresh_offset[vid]) % refi
-                    if phase < rfc:
-                        extra = rfc - phase
-                        if stall == 0:
-                            stall_ts = beat
-                        stall += extra
-                        beat += extra
-                for period, duration, offsets, vault_set in f_storms:
-                    if vault_set is not None and vid not in vault_set:
-                        continue
-                    phase = (beat - offsets[vid]) % period
+                # The TSV beat can start once the row is open.
+                ready = act
+            tsv_prev = tsv_next[vid]
+            beat = tsv_prev if tsv_prev > ready else ready
+            if locking:
+                for period, duration, offset, storm in lockouts[vid]:
+                    phase = (beat - offset) % period
                     if phase < duration:
                         extra = duration - phase
                         if stall == 0:
                             stall_ts = beat
                         stall += extra
                         beat += extra
-                        storm_total += extra
-                hit = False
+                        if storm:
+                            storm_total += extra
 
-            # Thermal throttling: close windows that ended before this beat,
-            # then stretch the beat if the vault is currently derated.
-            beat_time = t_in_row
-            if f_throttle is not None:
-                ws = win_start[vid]
-                if beat >= ws + window_ps:
-                    elapsed_windows = (beat - ws) // window_ps
-                    hot = win_busy[vid] > busy_limit_ps
-                    # Only an *adjacent* hot window carries the derate over;
-                    # any idle window in between lets the vault cool.
-                    throttled[vid] = hot and elapsed_windows == 1
-                    if hot:
-                        faults.throttled_windows += 1
-                    win_start[vid] = ws + elapsed_windows * window_ps
-                    win_busy[vid] = 0
-                if throttled[vid]:
-                    beat_time += extra_per_beat
-                    throttle_total += extra_per_beat
-                win_busy[vid] += beat_time
-            completion = beat + beat_time
-            if f_jitter is not None:
-                jit = f_jitter[i]
-                completion += jit
-                jitter_total += jit
-            err = 0
-            if f_errors is not None:
-                err = f_errors[i]
-                if err == 1:
-                    completion += f_correction
-                    faults.corrected_errors += 1
-                elif err == 2:
-                    faults.uncorrectable_errors += 1
-
-            if record_event is not None:
-                bank = bank_list[i]
-                if hit:
-                    if tsv_prev > ready:
-                        record_event(
-                            EV_TSV_CONTENTION, vid, bank, row, ps_to_ns(ready),
-                            ps_to_ns(tsv_prev - ready),
-                        )
-                else:
-                    record_event(
-                        EV_ACTIVATE, vid, bank, row, ps_to_ns(act),
-                        timing.t_diff_row,
-                    )
-                    if tsv_prev > act:
-                        record_event(
-                            EV_TSV_CONTENTION, vid, bank, row, ps_to_ns(act),
-                            ps_to_ns(tsv_prev - act),
-                        )
-                if stall > 0:
-                    record_event(
-                        EV_REFRESH_STALL, vid, bank, row,
-                        ps_to_ns(stall_ts), ps_to_ns(stall),
-                    )
-                if hit:
-                    record_event(
-                        EV_ROW_HIT, vid, bank, row, ps_to_ns(beat),
-                        ps_to_ns(beat_time),
-                    )
-                if err:
-                    record_event(
-                        EV_BIT_ERROR, vid, bank, row, ps_to_ns(beat),
-                        faults.correction_ns if err == 1 else 0.0,
-                    )
+            if hooks:
+                # Thermal throttling: close windows that ended before this
+                # beat, then stretch the beat if the vault is derated.
+                beat_time = t_in_row
+                if throttle is not None:
+                    ws = win_start[vid]
+                    if beat >= ws + window_ps:
+                        elapsed_windows = (beat - ws) // window_ps
+                        hot = win_busy[vid] > busy_limit_ps
+                        # Only an *adjacent* hot window carries the derate
+                        # over; any idle window in between lets it cool.
+                        throttled[vid] = hot and elapsed_windows == 1
+                        if hot:
+                            throttled_windows += 1
+                        win_start[vid] = ws + elapsed_windows * window_ps
+                        win_busy[vid] = 0
+                    if throttled[vid]:
+                        beat_time += extra_per_beat
+                        throttle_total += extra_per_beat
+                    win_busy[vid] += beat_time
+                completion = beat + beat_time
+                if jitter is not None:
+                    jit = jitter[i]
+                    completion += jit
+                    jitter_total += jit
+                if errors is not None:
+                    err = errors[i]
+                    if err == 1:
+                        completion += correction
+                        corrected += 1
+                    elif err == 2:
+                        uncorrectable += 1
+            else:
+                completion = beat + t_in_row
 
             tsv_next[vid] = completion
             if in_order:
@@ -944,17 +694,56 @@ class Memory3D:
                 first_completion = completion
             if completion > last_completion:
                 last_completion = completion
-            if completions is not None:
-                completions.append(completion)
-            if arrival_list is not None:
-                latency = completion - arrival_list[i]
-                latency_sum += latency
-                if latency > latency_max:
-                    latency_max = latency
+            if observed:
+                if completions is not None:
+                    completions.append(completion)
+                if arrival_list is not None:
+                    latency = completion - arrival_list[i]
+                    latency_sum += latency
+                    if latency > latency_max:
+                        latency_max = latency
+                if record_event is not None:
+                    bank = bank_list[i]
+                    # The request activated a row iff the count moved.
+                    hit = activations == recorded_activations
+                    recorded_activations = activations
+                    if not hit:
+                        record_event(
+                            EV_ACTIVATE, vid, bank, row, ps_to_ns(act),
+                            timing.t_diff_row,
+                        )
+                    if tsv_prev > ready:
+                        record_event(
+                            EV_TSV_CONTENTION, vid, bank, row, ps_to_ns(ready),
+                            ps_to_ns(tsv_prev - ready),
+                        )
+                    if stall > 0:
+                        record_event(
+                            EV_REFRESH_STALL, vid, bank, row,
+                            ps_to_ns(stall_ts), ps_to_ns(stall),
+                        )
+                        stall = 0
+                    if hit:
+                        record_event(
+                            EV_ROW_HIT, vid, bank, row, ps_to_ns(beat),
+                            timing.t_in_row
+                            if beat_time == t_in_row
+                            else ps_to_ns(beat_time),
+                        )
+                    err = errors[i] if errors is not None else 0
+                    if err:
+                        record_event(
+                            EV_BIT_ERROR, vid, bank, row, ps_to_ns(beat),
+                            correction_ns if err == 1 else 0.0,
+                        )
 
-        faults.jitter_ns = ps_to_ns(jitter_total)
-        faults.storm_stall_ns = ps_to_ns(storm_total)
-        faults.throttle_stall_ns = ps_to_ns(throttle_total)
+        if faults is not None:
+            faults.storm_stall_ns = ps_to_ns(storm_total)
+            faults.throttle_stall_ns = ps_to_ns(throttle_total)
+            faults.throttled_windows = throttled_windows
+            faults.jitter_ns = ps_to_ns(jitter_total)
+            faults.corrected_errors = corrected
+            faults.uncorrectable_errors = uncorrectable
         busy = {
             vid: ps_to_ns(tsv_next[vid])
             for vid in range(n_vaults)

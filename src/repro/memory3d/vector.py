@@ -669,13 +669,12 @@ def simulate_vector(
 ) -> tuple[AccessStats, np.ndarray | None]:
     """Price one trace with array scans; exact-engine-equal by construction.
 
-    Mirrors the contract of ``Memory3D._simulate_fast`` /
-    ``_simulate_faulted``: returns the stats plus (when ``record`` is
-    set) the per-request completion times in ns.  The caller has already
-    checked :func:`unsupported_reason`.  Accepts a raw
-    :class:`~repro.trace.request.TraceArray` (auto-compiled when long
-    and compressible) or a :class:`~repro.trace.compile.CompiledTrace`
-    (priced run by run).
+    Mirrors the contract of ``Memory3D._simulate_exact``: returns the
+    stats plus (when ``record`` is set) the per-request completion times
+    in ns.  The caller has already checked :func:`unsupported_reason`.
+    Accepts a raw :class:`~repro.trace.request.TraceArray`
+    (auto-compiled when long and compressible) or a
+    :class:`~repro.trace.compile.CompiledTrace` (priced run by run).
     """
     from repro.trace.compile import compile_trace
     from repro.trace.request import TraceArray

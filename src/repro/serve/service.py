@@ -742,9 +742,6 @@ class PlanService:
         task = dict(payload)
         task["index"] = 0
         task["engine"] = self.engine
-        last_error = "SweepExecutionError"
-        last_message = "no attempt ran"
-        last_reason = QuarantineReason.EXCEPTION
         point_start_s = time.perf_counter()
         try:
             return self._attempt_loop(

@@ -27,7 +27,7 @@ import time
 from conftest import banner, write_bench_json
 from repro.core.config import SystemConfig
 from repro.obs.logging import configure_logging, reset_logging
-from repro.obs.telemetry import TraceContext
+from repro.obs.telemetry import RunTelemetry, task_telemetry
 from repro.serialization import system_to_dict
 from repro.sweep import SweepGrid, run_sweep
 from repro.sweep.grid import SweepPoint
@@ -69,6 +69,7 @@ def seed_execute_task(task):
 def build_tasks(requests: int, telemetry: bool) -> list[dict]:
     """Worker task dicts for every grid point, optionally with context."""
     cfg = system_to_dict(SystemConfig())
+    run = RunTelemetry("bench")
     tasks = []
     for index, point in enumerate(GRID.points()):
         task = {
@@ -79,9 +80,9 @@ def build_tasks(requests: int, telemetry: bool) -> list[dict]:
             "max_requests": requests,
         }
         if telemetry:
-            task["telemetry"] = TraceContext(
-                run_id="bench", point_id=index
-            ).as_dict()
+            task["telemetry"] = task_telemetry(
+                run.run_id, run.context_for(index)
+            )
         tasks.append(task)
     return tasks
 

@@ -183,16 +183,16 @@ def seed_simulate_fast(
     )
 
 
+def timed(fn, *args) -> float:
+    """Wall-clock seconds of one call."""
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
 def best_of(repeats: int, fn, *args) -> float:
     """Minimum wall-clock seconds over ``repeats`` calls."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn(*args)
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-    return best
+    return min(timed(fn, *args) for _ in range(repeats))
 
 
 def test_recorder_off_matches_seed_throughput(quick):
@@ -210,11 +210,15 @@ def test_recorder_off_matches_seed_throughput(quick):
     assert seed_stats.row_activations == live_stats.row_activations
     assert seed_stats.row_hits == live_stats.row_hits
 
-    # Interleave warm-up, then best-of timings of both loops.
+    # Warm up, then alternate seed and live runs in one loop so both
+    # sides see the same machine state; each side keeps its best.
     seed_simulate_fast(memory, trace, "per_vault")
     memory.simulate(trace, "per_vault")
-    seed_s = best_of(repeats, seed_simulate_fast, memory, trace, "per_vault")
-    off_s = best_of(repeats, memory.simulate, trace, "per_vault")
+    seed_times, off_times = [], []
+    for _ in range(repeats):
+        seed_times.append(timed(seed_simulate_fast, memory, trace, "per_vault"))
+        off_times.append(timed(memory.simulate, trace, "per_vault"))
+    seed_s, off_s = min(seed_times), min(off_times)
     ratio = off_s / seed_s
 
     recorder = EventTrace()

@@ -36,7 +36,7 @@ from repro.sweep.runner import (
     point_result,
     system_from_dict,
 )
-from repro.obs.telemetry import TraceContext
+from repro.obs.telemetry import RunTelemetry, task_telemetry
 
 #: Workload and tolerance per mode: (requests, repeats, off_overhead_cap).
 FULL = (16_384, 5, 1.05)
@@ -68,6 +68,7 @@ def seed_execute_task(task):
 def build_tasks(requests: int, telemetry: bool) -> list[dict]:
     """Worker task dicts for every grid point, optionally with context."""
     cfg = system_to_dict(SystemConfig())
+    run = RunTelemetry("bench")
     tasks = []
     for index, point in enumerate(GRID.points()):
         task = {
@@ -78,9 +79,9 @@ def build_tasks(requests: int, telemetry: bool) -> list[dict]:
             "max_requests": requests,
         }
         if telemetry:
-            task["telemetry"] = TraceContext(
-                run_id="bench", point_id=index
-            ).as_dict()
+            task["telemetry"] = task_telemetry(
+                run.run_id, run.context_for(index)
+            )
         tasks.append(task)
     return tasks
 

@@ -15,10 +15,11 @@ with zero third-party dependencies:
   timers for the modelling pipeline.
 * :mod:`repro.obs.export` -- Chrome ``trace_event`` JSON (open in
   Perfetto) and per-vault utilization / row-hit breakdown tables.
-* :mod:`repro.obs.telemetry` -- cross-process run telemetry: the sweep
-  runner injects a :class:`TraceContext` into each worker, workers ship
-  :class:`WorkerTelemetry` payloads back, and :class:`RunTelemetry`
-  merges everything into one clock-aligned Perfetto trace.
+* :mod:`repro.obs.telemetry` -- cross-process run telemetry: sweep and
+  serve tasks carry one :class:`TraceContext` to their worker, workers
+  ship :class:`WorkerTelemetry` payloads of tree-linked spans back, and
+  one fold aligns them into the parent's clock (:class:`RunTelemetry`
+  merges a sweep into one Perfetto trace).
 * :mod:`repro.obs.profile` -- a zero-dependency
   :class:`SamplingProfiler` (``--profile hz``) with collapsed-stack and
   top-N self-time output.
@@ -32,10 +33,11 @@ with zero third-party dependencies:
   :class:`SweepStatus` accounting plus the embedded ``/status`` +
   ``/metrics`` + ``/logs`` HTTP server behind ``repro sweep --monitor``
   and ``repro tail``.
-* :mod:`repro.obs.tracectx` -- W3C-traceparent-style request tracing:
-  deterministic :class:`repro.obs.tracectx.TraceContext` trace/span ids
-  and the :class:`RequestTracer` span/link rings behind the serving
-  stack's end-to-end Perfetto trees.
+* :mod:`repro.obs.tracectx` -- the one trace model: the
+  W3C-traceparent-style :class:`TraceContext` with deterministic
+  trace/span ids that sweep points, serve requests and worker spans all
+  hang from, plus the :class:`RequestTracer` span/link rings behind the
+  serving stack's end-to-end Perfetto trees.
 * :mod:`repro.obs.histogram` -- shared latency-histogram bucket
   boundaries plus exemplar-aware observe/summarize helpers
   (p50/p95/p99 for ``/status`` and ``repro tail``).
@@ -121,12 +123,12 @@ from repro.obs.spans import Span, SpanTimeline, span_or_null
 from repro.obs.telemetry import (
     ClockAnchor,
     RunTelemetry,
-    TraceContext,
     WorkerTelemetry,
 )
 from repro.obs.tracectx import (
     TRACEPARENT_SCHEMA,
     RequestTracer,
+    TraceContext,
     parse_traceparent,
 )
 

@@ -21,7 +21,7 @@ from typing import IO
 from repro.memory3d.config import Memory3DConfig
 from repro.memory3d.stats import AccessStats
 from repro.obs.events import EventKind, EventTrace
-from repro.obs.spans import SpanTimeline
+from repro.obs.spans import SpanTimeline, chrome_track_name
 from repro.units import ELEMENT_BYTES
 
 #: Slice names per event kind (short, so Perfetto labels stay readable).
@@ -63,25 +63,9 @@ def chrome_trace_events(events: EventTrace) -> list[dict]:
     for vault, bank in zip(events.vaults, events.banks, strict=True):
         seen_tracks.add((vault, bank))
     for vault in sorted({v for v, _ in seen_tracks}):
-        out.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": vault,
-                "tid": 0,
-                "args": {"name": f"vault {vault}"},
-            }
-        )
+        out.append(chrome_track_name(vault, f"vault {vault}"))
     for vault, bank in sorted(seen_tracks):
-        out.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": vault,
-                "tid": bank,
-                "args": {"name": f"bank {bank}"},
-            }
-        )
+        out.append(chrome_track_name(vault, f"bank {bank}", tid=bank))
     for kind, vault, bank, row, ts, dur in zip(
         events.kinds, events.vaults, events.banks, events.rows,
         events.ts_ns, events.dur_ns, strict=True,
@@ -116,15 +100,7 @@ def chrome_trace(
     """
     trace_events = chrome_trace_events(events)
     if spans is not None and len(spans):
-        trace_events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": SPAN_PID,
-                "tid": 0,
-                "args": {"name": "host phases"},
-            }
-        )
+        trace_events.append(chrome_track_name(SPAN_PID, "host phases"))
         trace_events.extend(spans.to_chrome_events(pid=SPAN_PID))
     doc: dict = {"traceEvents": trace_events, "displayTimeUnit": "ns"}
     if metadata:

@@ -34,7 +34,7 @@ dependencies:
 Every record carries two timestamps: ``ts_s`` (wall clock, for humans
 and cross-host aggregation) and ``perf_s`` (monotonic, process-local).
 Worker-process records are aligned into the parent's monotonic domain
-by :meth:`repro.obs.telemetry.RunTelemetry.merge_worker` exactly like
+by :func:`repro.obs.telemetry.align_worker_payload` exactly like
 spans, via the paired :class:`~repro.obs.telemetry.ClockAnchor`
 readings.
 

@@ -26,9 +26,10 @@ Two pieces:
 the single-line live view (:func:`render_status_line`).
 
 Monitoring is run *metadata*: the deterministic sweep document is
-byte-identical with the monitor on or off (enforced by tests).  The
-future ``repro serve`` service reuses this module for its ``/metrics``
-endpoint and request tracing.
+byte-identical with the monitor on or off (enforced by tests).
+:class:`EmbeddedHTTPServer` and :class:`JsonRequestHandler` are the
+server plumbing it shares with ``repro serve``
+(:class:`~repro.serve.app.PlanServer`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, TypeVar
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ReproError
@@ -323,16 +324,156 @@ class SweepStatus:
 
 
 # ----------------------------------------------------------------- HTTP server
-class _MonitorHandler(BaseHTTPRequestHandler):
+#: Seconds a connection may stay silent while the server reads a request
+#: before it is dropped, so an idle client cannot pin a handler thread.
+READ_TIMEOUT_S = 10.0
+
+
+class JsonRequestHandler(BaseHTTPRequestHandler):
+    """Handler plumbing shared by the embedded servers.
+
+    JSON and raw responses, a read timeout of :data:`READ_TIMEOUT_S`,
+    and ``http.server`` chatter routed into the owner's structured
+    logger.  Subclasses add the routes (``do_GET`` / ``do_POST``).
+    """
+
+    #: Set by :class:`EmbeddedHTTPServer` on the server object.
+    server: Any
+
+    def setup(self) -> None:
+        """Arm the read timeout (read per connection, so the module
+        constant stays the single knob)."""
+        self.timeout = READ_TIMEOUT_S
+        super().setup()
+
+    def _send_json(
+        self,
+        payload: dict[str, Any],
+        code: int = 200,
+        headers: dict[str, str] | None = None,
+    ) -> None:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._send(
+            code, "application/json; charset=utf-8", body, headers=headers
+        )
+
+    def _send(
+        self,
+        code: int,
+        content_type: str,
+        body: bytes,
+        headers: dict[str, str] | None = None,
+    ) -> None:
+        self.send_response(code)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format: str, *args: Any) -> None:
+        """Route http.server chatter into the structured logger."""
+        get_logger(self.server.owner.logger_name).debug(
+            "http request", request=format % args,
+            client=self.client_address[0],
+        )
+
+
+_Server = TypeVar("_Server", bound="EmbeddedHTTPServer")
+
+
+class EmbeddedHTTPServer:
+    """A stdlib ``ThreadingHTTPServer`` on a daemon thread.
+
+    The base of :class:`SweepMonitor` and
+    :class:`~repro.serve.app.PlanServer`: each request gets its own
+    thread, ``port=0`` binds an ephemeral port (read :attr:`port` /
+    :attr:`url` after construction), :meth:`close` is idempotent, and
+    the object is a context manager.  Subclasses set the class
+    attributes below.
+    """
+
+    #: Request handler class (a :class:`JsonRequestHandler`).
+    handler: type[JsonRequestHandler]
+    #: Error raised for a bad port or a failed bind.
+    error: type[ReproError]
+    #: What the server is, for log and error messages.
+    kind: str
+    #: Name of the serving thread.
+    thread_name: str
+    #: Structured logger for the start notice and request chatter.
+    logger_name: str
+
+    def __init__(self, port: int = 0, host: str = "127.0.0.1") -> None:
+        if port < 0 or port > 65535:
+            raise self.error(f"invalid {self.kind} port {port}")
+        try:
+            self._server = ThreadingHTTPServer((host, port), self.handler)
+        except OSError as exc:
+            raise self.error(
+                f"cannot bind {self.kind} to {host}:{port} ({exc})"
+            ) from exc
+        self._server.daemon_threads = True
+        self._server.owner = self  # type: ignore[attr-defined]
+        self._thread: threading.Thread | None = None
+        self._closed = False
+
+    @property
+    def host(self) -> str:
+        """Bound host address."""
+        return self._server.server_address[0]
+
+    @property
+    def port(self) -> int:
+        """Bound port (the actual one when constructed with ``port=0``)."""
+        return self._server.server_address[1]
+
+    @property
+    def url(self) -> str:
+        """Base URL of the running server."""
+        return f"http://{self.host}:{self.port}"
+
+    def start(self: _Server) -> _Server:
+        """Serve requests in a daemon thread (no-op when already running)."""
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._server.serve_forever,
+                name=self.thread_name,
+                daemon=True,
+            )
+            self._thread.start()
+            get_logger(self.logger_name).info(
+                f"{self.kind} serving", url=self.url
+            )
+        return self
+
+    def close(self) -> None:
+        """Stop serving and release the socket (idempotent)."""
+        if self._closed:
+            return
+        self._closed = True
+        if self._thread is not None:
+            self._server.shutdown()
+            self._thread.join(timeout=5.0)
+            self._thread = None
+        self._server.server_close()
+
+    def __enter__(self: _Server) -> _Server:
+        return self.start()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class _MonitorHandler(JsonRequestHandler):
     """Request handler for the three monitor endpoints."""
 
     server_version = "repro-monitor/1"
-    #: Set by :class:`SweepMonitor` on the server object.
-    server: Any
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         split = urlsplit(self.path)
-        monitor: SweepMonitor = self.server.monitor
+        monitor: SweepMonitor = self.server.owner
         if split.path == "/status":
             self._send_json(monitor.status.snapshot())
         elif split.path == "/metrics":
@@ -366,26 +507,8 @@ class _MonitorHandler(BaseHTTPRequestHandler):
                 code=404,
             )
 
-    def _send_json(self, payload: dict[str, Any], code: int = 200) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._send(code, "application/json; charset=utf-8", body)
 
-    def _send(self, code: int, content_type: str, body: bytes) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Route http.server chatter into the structured logger."""
-        get_logger("repro.obs.monitor").debug(
-            "http request", request=format % args,
-            client=self.client_address[0],
-        )
-
-
-class SweepMonitor:
+class SweepMonitor(EmbeddedHTTPServer):
     """The embedded monitoring server around one :class:`SweepStatus`.
 
     Usage (the CLI does exactly this for ``--monitor PORT``)::
@@ -395,11 +518,15 @@ class SweepMonitor:
             print(monitor.url)
             run_sweep(grid, status=status, telemetry=True)
 
-    The server runs in a daemon thread (``ThreadingHTTPServer``: each
-    request gets its own thread, so a slow scraper never blocks the
-    sweep).  ``port=0`` binds an ephemeral port; read :attr:`port` /
-    :attr:`url` after construction.  :meth:`close` is idempotent.
+    A slow scraper never blocks the sweep: the server runs on its own
+    daemon thread, one thread per request (:class:`EmbeddedHTTPServer`).
     """
+
+    handler = _MonitorHandler
+    error = MonitorError
+    kind = "monitor"
+    thread_name = "repro-monitor"
+    logger_name = "repro.obs.monitor"
 
     def __init__(
         self,
@@ -408,71 +535,14 @@ class SweepMonitor:
         host: str = "127.0.0.1",
         ring: RingBufferSink | None = None,
     ) -> None:
-        if port < 0 or port > 65535:
-            raise MonitorError(f"invalid monitor port {port}")
         self.status = status if status is not None else SweepStatus()
         self._ring = ring
-        try:
-            self._server = ThreadingHTTPServer((host, port), _MonitorHandler)
-        except OSError as exc:
-            raise MonitorError(
-                f"cannot bind monitor to {host}:{port} ({exc})"
-            ) from exc
-        self._server.daemon_threads = True
-        self._server.monitor = self  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-        self._closed = False
+        super().__init__(port=port, host=host)
 
     @property
     def ring(self) -> RingBufferSink:
         """The ring buffer ``/logs`` serves (global pipeline's default)."""
         return self._ring if self._ring is not None else global_ring()
-
-    @property
-    def host(self) -> str:
-        """Bound host address."""
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """Bound port (the actual one when constructed with ``port=0``)."""
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL of the running server."""
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "SweepMonitor":
-        """Serve requests in a daemon thread (no-op when already running)."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                name="repro-monitor",
-                daemon=True,
-            )
-            self._thread.start()
-            get_logger("repro.obs.monitor").info(
-                "monitor serving", url=self.url
-            )
-        return self
-
-    def close(self) -> None:
-        """Stop serving and release the socket (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._thread is not None:
-            self._server.shutdown()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._server.server_close()
-
-    def __enter__(self) -> "SweepMonitor":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 # ------------------------------------------------------------------- tail view

@@ -25,9 +25,12 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from collections.abc import Iterator
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError
+
+if TYPE_CHECKING:
+    from repro.obs.tracectx import SpanRecord
 
 
 class SpanError(ReproError):
@@ -141,21 +144,56 @@ class SpanTimeline:
             if clock_offset_s is not None
             else min(span.start_s for span in self.spans)
         )
-        events = []
-        for span in self.spans:
-            event = {
-                "name": span.name,
-                "cat": "span",
-                "ph": "X",
-                "pid": pid,
-                "tid": tid,
-                "ts": (span.start_s - origin) * 1e6,
-                "dur": span.duration_s * 1e6,
-            }
-            if span.meta:
-                event["args"] = {k: str(v) for k, v in span.meta.items()}
-            events.append(event)
-        return events
+        return [
+            chrome_slice(
+                span,
+                pid=pid,
+                tid=tid,
+                origin_s=origin,
+                args={k: str(v) for k, v in span.meta.items()} or None,
+            )
+            for span in self.spans
+        ]
+
+
+def chrome_slice(
+    span: Span | SpanRecord,
+    pid: int,
+    tid: int = 0,
+    origin_s: float = 0.0,
+    args: dict[str, Any] | None = None,
+) -> dict:
+    """One span as a Chrome ``trace_event`` complete slice (``ph: "X"``).
+
+    The single slice builder behind every span exporter (host-phase
+    timelines, merged sweep runs, serve request trees).  Timestamps are
+    microseconds relative to ``origin_s``; ``args`` is attached only
+    when non-empty.
+    """
+    event: dict[str, Any] = {
+        "name": span.name,
+        "cat": "span",
+        "ph": "X",
+        "pid": pid,
+        "tid": tid,
+        "ts": (span.start_s - origin_s) * 1e6,
+        "dur": span.duration_s * 1e6,
+    }
+    if args:
+        event["args"] = args
+    return event
+
+
+def chrome_track_name(pid: int, name: str, tid: int | None = None) -> dict:
+    """A Chrome metadata event naming a process (or, with ``tid``, one
+    of its threads) in the viewer's track list."""
+    return {
+        "name": "process_name" if tid is None else "thread_name",
+        "ph": "M",
+        "pid": pid,
+        "tid": 0 if tid is None else tid,
+        "args": {"name": name},
+    }
 
 
 def span_or_null(timeline: SpanTimeline | None, name: str, **meta: Any):

@@ -1,24 +1,26 @@
-"""Cross-process run telemetry: trace contexts, worker payloads, merging.
+"""Cross-process run telemetry: worker payloads and their clock-aligned fold.
 
-The parallel sweep engine fans grid points out over worker processes,
-and before this module those workers were observability black holes:
-per-point spans, retry timing and cache behaviour died inside the child
-process, leaving a 40-point sweep summarised by one wall-clock number.
-This module threads one trace through the whole run:
+The parallel sweep engine and the planning service both run points in
+worker processes.  This module carries those workers' observations
+home on the one trace model of :mod:`repro.obs.tracectx`:
 
-* :class:`TraceContext` -- the identity the runner injects into each
-  worker task (run id, point id, attempt);
-* :class:`WorkerTelemetry` -- what a worker records locally (a
-  :class:`~repro.obs.spans.SpanTimeline`, run-telemetry events, a
-  :class:`~repro.obs.metrics.MetricsRegistry`) plus a
+* :func:`task_telemetry` -- the one member a worker task carries: the
+  W3C :class:`~repro.obs.tracectx.TraceContext` of the work (a sweep
+  point, or the serve request that owns it) plus the run id;
+* :class:`WorkerTelemetry` -- what a worker records about one attempt
+  (:class:`~repro.obs.tracectx.SpanRecord` spans under the attempt's
+  context, run-telemetry events, a
+  :class:`~repro.obs.metrics.MetricsRegistry`, log records) plus a
   :class:`ClockAnchor` pairing its monotonic clock with wall time, all
-  serialized as one JSON-native payload shipped back with the result;
-* :class:`RunTelemetry` -- the parent-side merge: every worker payload
-  is aligned into the parent's monotonic clock domain via the anchors,
-  queue waits are derived from dispatch-vs-start timestamps, and the
-  whole run exports as ONE Chrome ``trace_event`` JSON -- runner spans,
-  per-point lifecycle tracks (queue wait, retries, cache hits) and one
-  process per worker.
+  serialized as one JSON-native ``repro-worker-telemetry/v2`` payload
+  shipped back with the result;
+* :func:`align_worker_payload` -- the one fold: a payload's spans,
+  events and logs shifted into the parent's monotonic clock domain;
+* :class:`RunTelemetry` -- the sweep's parent-side merge: queue waits
+  are derived from dispatch-vs-start timestamps, and the whole run
+  exports as ONE Chrome ``trace_event`` JSON -- runner spans, per-point
+  lifecycle tracks (queue wait, retries, cache hits) and one process
+  per worker.
 
 All wall-clock reads in the repository's deterministic layers happen
 here (``repro.obs`` is the DET001-exempt zone); telemetry is run
@@ -27,10 +29,13 @@ here (``repro.obs`` is the DET001-exempt zone); telemetry is run
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from typing import IO, Any
 
 from repro.errors import ReproError
@@ -50,10 +55,29 @@ from repro.obs.logging import (
     global_pipeline,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import Span, SpanTimeline
+from repro.obs.spans import SpanTimeline, chrome_slice, chrome_track_name
+from repro.obs.tracectx import SpanRecord, TraceContext, TraceError
 
-#: Schema tag stamped into every serialized worker payload.
-WORKER_TELEMETRY_SCHEMA = "repro-worker-telemetry/v1"
+#: Schema tag stamped into every serialized worker payload (v2: the
+#: attempt's W3C trace context and tree-linked span records).
+WORKER_TELEMETRY_SCHEMA = "repro-worker-telemetry/v2"
+
+#: Exact key set of a ``repro-worker-telemetry/v2`` payload.
+WORKER_TELEMETRY_KEYS = frozenset(
+    {
+        "schema",
+        "run_id",
+        "point_id",
+        "attempt",
+        "worker_id",
+        "context",
+        "anchor",
+        "spans",
+        "events",
+        "metrics",
+        "logs",
+    }
+)
 
 #: Chrome pid of the parent runner's span track.
 RUNNER_PID = 0
@@ -107,40 +131,6 @@ class ClockAnchor:
         return cls(wall_s=float(data["wall_s"]), perf_s=float(data["perf_s"]))
 
 
-# --------------------------------------------------------------- trace context
-@dataclass(frozen=True)
-class TraceContext:
-    """The identity a sweep runner injects into one worker task.
-
-    Attributes:
-        run_id: stable identifier of the whole sweep run (the runner
-            derives it from the sweep's content digest).
-        point_id: grid index of the point this task executes.
-        attempt: 1-based attempt number under the resilient executor.
-    """
-
-    run_id: str
-    point_id: int
-    attempt: int = 1
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-native form (embedded in worker task payloads)."""
-        return {
-            "run_id": self.run_id,
-            "point_id": self.point_id,
-            "attempt": self.attempt,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TraceContext":
-        """Inverse of :meth:`as_dict`."""
-        return cls(
-            run_id=str(data["run_id"]),
-            point_id=int(data["point_id"]),
-            attempt=int(data.get("attempt", 1)),
-        )
-
-
 # ------------------------------------------------------------ telemetry events
 @dataclass(frozen=True)
 class TelemetryEvent:
@@ -185,69 +175,55 @@ class TelemetryEvent:
         )
 
 
-def _span_to_dict(span: Span, span_id: int) -> dict[str, Any]:
-    return {
-        "id": span_id,
-        "name": span.name,
-        "start_s": span.start_s,
-        "end_s": span.end_s,
-        "depth": span.depth,
-        "parent": span.parent,
-        "meta": {k: _json_safe(v) for k, v in span.meta.items()},
-    }
-
-
 def _json_safe(value: Any) -> Any:
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
     return str(value)
 
 
-def _timeline_to_dicts(timeline: SpanTimeline) -> list[dict[str, Any]]:
-    return [
-        _span_to_dict(span, index) for index, span in enumerate(timeline.spans)
-    ]
+def task_telemetry(run_id: str, context: TraceContext) -> dict[str, Any]:
+    """The one telemetry member a worker task carries (``task["telemetry"]``).
 
-
-def _timeline_from_dicts(spans: list[dict[str, Any]]) -> SpanTimeline:
-    timeline = SpanTimeline()
-    for entry in spans:
-        timeline.spans.append(
-            Span(
-                name=str(entry["name"]),
-                start_s=float(entry["start_s"]),
-                end_s=(
-                    None if entry.get("end_s") is None else float(entry["end_s"])
-                ),
-                depth=int(entry.get("depth", 0)),
-                parent=int(entry.get("parent", -1)),
-                meta=dict(entry.get("meta", {})),
-            )
-        )
-    return timeline
+    ``context`` is the trace context the work belongs to -- a sweep
+    point's (:meth:`RunTelemetry.context_for`) or the serve request's
+    that owns the computation; the worker derives its attempt's context
+    from it (:meth:`WorkerTelemetry.for_task`).
+    """
+    return {"run_id": run_id, "context": context.as_dict()}
 
 
 # ------------------------------------------------------------ worker telemetry
 class WorkerTelemetry:
-    """What one worker records about one grid-point execution.
+    """What one worker records about one grid-point attempt.
 
-    Created at task pickup (:meth:`start` anchors the clocks and records
-    a ``WORKER_START`` event), filled by the worker body (spans around
-    trace generation and simulation, telemetry events, metrics), and
-    shipped back to the parent as the JSON-native :meth:`as_dict`
-    payload riding on the task outcome.
+    Created at task pickup (:meth:`for_task` derives the attempt's trace
+    context, anchors the clocks and records a ``WORKER_START`` event),
+    filled by the worker body (:meth:`span` regions, telemetry events,
+    metrics, log records), and shipped back to the parent as the
+    JSON-native :meth:`as_dict` payload riding on the task outcome.
+
+    Spans are :class:`~repro.obs.tracectx.SpanRecord` s whose ids derive
+    from the attempt's :attr:`context`, so a folded worker span is
+    already a node of the sweep's or the request's span tree.
     """
 
     def __init__(
         self,
         context: TraceContext,
+        run_id: str,
+        point_id: int,
+        attempt: int = 1,
         worker_id: int | None = None,
         anchor: ClockAnchor | None = None,
     ) -> None:
+        #: The attempt's trace context; root worker spans are its children.
         self.context = context
+        self.run_id = run_id
+        self.point_id = point_id
+        self.attempt = attempt
         self.worker_id = os.getpid() if worker_id is None else worker_id
         self.anchor = anchor or ClockAnchor.now()
-        self.timeline = SpanTimeline()
+        self.spans: list[SpanRecord] = []
         self.registry = MetricsRegistry()
         self.events: list[TelemetryEvent] = []
         #: Structured log records captured by :meth:`logger`, shipped
@@ -255,15 +231,30 @@ class WorkerTelemetry:
         self.logs: list[LogRecord] = []
         self._log_pipeline = LogPipeline(level=DEBUG)
         self._log_pipeline.sinks = [ListSink(self.logs)]
+        self._open: list[TraceContext] = []
+        self._span_ids = itertools.count()
 
     @classmethod
-    def start(cls, context: TraceContext) -> "WorkerTelemetry":
-        """Begin recording: anchor the clocks, mark ``WORKER_START``."""
-        telemetry = cls(context)
+    def for_task(cls, task: dict[str, Any]) -> "WorkerTelemetry | None":
+        """Begin recording one task attempt; ``None`` without telemetry.
+
+        Derives ``context.child("attempt", attempt)`` from the task's
+        :func:`task_telemetry` member -- the same derivation the
+        service's parent side uses for its ``attempt`` span -- and marks
+        ``WORKER_START``.
+        """
+        member = task.get("telemetry")
+        if not member:
+            return None
+        attempt = int(task.get("attempt", 1))
+        telemetry = cls(
+            TraceContext.from_dict(member["context"]).child("attempt", attempt),
+            run_id=str(member["run_id"]),
+            point_id=int(task["index"]),
+            attempt=attempt,
+        )
         telemetry.record_event(
-            EV_WORKER_START,
-            point=context.point_id,
-            attempt=context.attempt,
+            EV_WORKER_START, point=telemetry.point_id, attempt=attempt
         )
         return telemetry
 
@@ -271,27 +262,54 @@ class WorkerTelemetry:
         """This process's monotonic clock (``perf_counter`` seconds)."""
         return time.perf_counter()
 
-    def logger(
-        self, name: str = "repro.sweep.worker", **extra: Any
-    ) -> StructuredLogger:
+    @contextmanager
+    def span(self, name: str, **meta: Any) -> Iterator[None]:
+        """Time one region as a span nested under any open one.
+
+        Span ids derive from the attempt context in opening order;
+        roots are children of the attempt context itself.
+        """
+        parent = self._open[-1] if self._open else self.context
+        derived = self.context.child("wspan", next(self._span_ids))
+        context = TraceContext(
+            trace_id=derived.trace_id,
+            span_id=derived.span_id,
+            parent_id=parent.span_id,
+        )
+        self._open.append(context)
+        start_s = self.now()
+        try:
+            yield
+        finally:
+            self._open.pop()
+            self.spans.append(
+                SpanRecord(
+                    context=context,
+                    name=name,
+                    start_s=start_s,
+                    duration_s=self.now() - start_s,
+                    meta=tuple(
+                        sorted((k, _json_safe(v)) for k, v in meta.items())
+                    ),
+                )
+            )
+
+    def logger(self, name: str = "repro.sweep.worker") -> StructuredLogger:
         """A logger whose records are captured into :attr:`logs`.
 
         The returned logger is pre-bound with the full correlation
-        context (run, point, worker pid, attempt, plus any non-``None``
-        ``extra`` context such as a ``trace_id``) and writes into this
-        payload only -- records travel home with the task outcome and
-        reach the parent's sinks via
+        context (run, point, worker pid, attempt, trace id) and writes
+        into this payload only -- records travel home with the task
+        outcome and reach the parent's sinks via
         :meth:`RunTelemetry.merge_worker`, clock-aligned like spans.
         """
-        context: dict[str, Any] = {
-            "run_id": self.context.run_id,
-            "point_id": self.context.point_id,
+        context = {
+            "run_id": self.run_id,
+            "point_id": self.point_id,
             "worker_id": self.worker_id,
-            "attempt": self.context.attempt,
+            "attempt": self.attempt,
+            "trace_id": self.context.trace_id,
         }
-        context.update(
-            {key: value for key, value in extra.items() if value is not None}
-        )
         return StructuredLogger(name, context, self._log_pipeline)
 
     def record_event(
@@ -312,12 +330,13 @@ class WorkerTelemetry:
         """The JSON-native payload shipped back with the task outcome."""
         return {
             "schema": WORKER_TELEMETRY_SCHEMA,
-            "run_id": self.context.run_id,
-            "point_id": self.context.point_id,
-            "attempt": self.context.attempt,
+            "run_id": self.run_id,
+            "point_id": self.point_id,
+            "attempt": self.attempt,
             "worker_id": self.worker_id,
+            "context": self.context.as_dict(),
             "anchor": self.anchor.as_dict(),
-            "spans": _timeline_to_dicts(self.timeline),
+            "spans": [span.as_dict() for span in self.spans],
             "events": [event.as_dict() for event in self.events],
             "metrics": self.registry.as_dict(),
             "logs": [record.as_dict() for record in self.logs],
@@ -339,33 +358,53 @@ class WorkerTelemetry:
                 f"(schema {data.get('schema')!r} != {WORKER_TELEMETRY_SCHEMA!r})"
             )
         try:
-            context = TraceContext(
+            telemetry = cls(
+                TraceContext.from_dict(data["context"]),
                 run_id=str(data["run_id"]),
                 point_id=int(data["point_id"]),
-                attempt=int(data.get("attempt", 1)),
-            )
-            telemetry = cls(
-                context,
+                attempt=int(data["attempt"]),
                 worker_id=int(data["worker_id"]),
                 anchor=ClockAnchor.from_dict(data["anchor"]),
             )
-            telemetry.timeline = _timeline_from_dicts(data.get("spans", []))
-            telemetry.events = [
-                TelemetryEvent.from_dict(entry)
-                for entry in data.get("events", [])
+            telemetry.spans = [
+                SpanRecord.from_dict(entry) for entry in data["spans"]
             ]
-            telemetry.registry = MetricsRegistry.from_snapshot(
-                data.get("metrics", {})
-            )
+            telemetry.events = [
+                TelemetryEvent.from_dict(entry) for entry in data["events"]
+            ]
+            telemetry.registry = MetricsRegistry.from_snapshot(data["metrics"])
             telemetry.logs.extend(
-                LogRecord.from_dict(entry)
-                for entry in data.get("logs", [])
+                LogRecord.from_dict(entry) for entry in data["logs"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, TraceError) as exc:
             raise TelemetryError(
                 f"malformed worker telemetry payload ({exc!r})"
             ) from exc
         return telemetry
+
+
+def align_worker_payload(
+    payload: dict[str, Any], anchor: ClockAnchor
+) -> WorkerTelemetry:
+    """Rebuild one worker payload in the clock domain of ``anchor``.
+
+    The one fold of worker telemetry, shared by the sweep runner
+    (:meth:`RunTelemetry.merge_worker`) and the planning service: spans,
+    events and logs are shifted by the anchor-pair offset, and the
+    result carries ``anchor`` as its own.
+    Raises :class:`TelemetryError` on a malformed payload.
+    """
+    telemetry = WorkerTelemetry.from_dict(payload)
+    offset = telemetry.anchor.offset_to(anchor)
+    telemetry.spans = [
+        replace(span, start_s=span.start_s + offset) for span in telemetry.spans
+    ]
+    telemetry.events = [
+        replace(event, ts_s=event.ts_s + offset) for event in telemetry.events
+    ]
+    telemetry.logs = [log.shifted(offset) for log in telemetry.logs]
+    telemetry.anchor = anchor
+    return telemetry
 
 
 # --------------------------------------------------------------- run telemetry
@@ -381,14 +420,15 @@ class RunTelemetry:
 
     def __init__(self, run_id: str) -> None:
         self.run_id = run_id
+        #: Root of the run's trace; each point is a child of it.
+        self.context = TraceContext.root(run_id)
         self.anchor = ClockAnchor.now()
         self.timeline = SpanTimeline()
         self.registry = MetricsRegistry()
         self.events: list[TelemetryEvent] = []
-        #: Aligned worker records, in merge order.  Each holds the raw
-        #: payload's identity plus spans/events shifted into the parent
-        #: clock domain.
-        self.workers: list[dict[str, Any]] = []
+        #: Worker payloads aligned into the parent clock domain, in
+        #: merge order.
+        self.workers: list[WorkerTelemetry] = []
         self._submits: dict[int, float] = {}
 
     @classmethod
@@ -423,65 +463,35 @@ class RunTelemetry:
         self.events.append(event)
         return event
 
-    def context_for(self, point_id: int, attempt: int = 1) -> TraceContext:
-        """The :class:`TraceContext` to inject into one worker task."""
-        return TraceContext(
-            run_id=self.run_id, point_id=point_id, attempt=attempt
-        )
+    def context_for(self, point_id: int) -> TraceContext:
+        """The trace context of one grid point (a child of the run's)."""
+        return self.context.child("point", point_id)
 
     # --------------------------------------------------------------- merging
-    def merge_worker(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Fold one worker payload in; returns the aligned record.
+    def merge_worker(self, payload: dict[str, Any]) -> WorkerTelemetry:
+        """Fold one worker payload in; returns it clock-aligned.
 
-        Spans and events are shifted into the parent's monotonic domain
-        (anchor-pair offset), worker span ids are namespaced by worker
-        so duplicate ids across processes can never collide, a
-        ``QUEUE_WAIT`` event is derived from the dispatch timestamp, and
-        the worker's metrics fold into :attr:`registry`.
+        The payload is aligned by :func:`align_worker_payload`, a
+        ``QUEUE_WAIT`` event is derived from the dispatch timestamp, the
+        worker's logs reach the global pipeline, and its metrics fold
+        into :attr:`registry`.  A payload from another trace is refused.
         """
-        telemetry = WorkerTelemetry.from_dict(payload)
-        if telemetry.context.run_id != self.run_id:
+        telemetry = align_worker_payload(payload, self.anchor)
+        if telemetry.context.trace_id != self.context.trace_id:
             raise TelemetryError(
-                f"worker payload belongs to run {telemetry.context.run_id!r}, "
-                f"expected {self.run_id!r}"
+                f"worker payload belongs to trace "
+                f"{telemetry.context.trace_id!r}, expected "
+                f"{self.context.trace_id!r} (run {self.run_id!r})"
             )
-        offset = telemetry.anchor.offset_to(self.anchor)
-        point_id = telemetry.context.point_id
-        spans = []
-        for span_id, span in enumerate(telemetry.timeline.spans):
-            aligned = _span_to_dict(span, span_id)
-            aligned["id"] = f"{telemetry.worker_id}/{point_id}/{span_id}"
-            aligned["start_s"] = span.start_s + offset
-            if span.end_s is not None:
-                aligned["end_s"] = span.end_s + offset
-            spans.append(aligned)
-        events = [
-            TelemetryEvent(
-                kind=event.kind,
-                ts_s=event.ts_s + offset,
-                dur_s=event.dur_s,
-                meta=event.meta,
-            )
-            for event in telemetry.events
-        ]
-        logs = [log.shifted(offset) for log in telemetry.logs]
-        record = {
-            "worker_id": telemetry.worker_id,
-            "point_id": point_id,
-            "attempt": telemetry.context.attempt,
-            "clock_offset_s": offset,
-            "spans": spans,
-            "events": events,
-            "logs": logs,
-        }
-        self.workers.append(record)
+        self.workers.append(telemetry)
         self.registry.merge_snapshot(telemetry.registry.as_dict())
         pipeline = global_pipeline()
-        for log in logs:
+        for log in telemetry.logs:
             if pipeline.enabled_for(log.level):
                 pipeline.emit(log)
+        point_id = telemetry.point_id
         submitted = self._submits.get(point_id)
-        started = min((span["start_s"] for span in spans), default=None)
+        started = min((span.start_s for span in telemetry.spans), default=None)
         if submitted is not None and started is not None:
             wait = max(0.0, started - submitted)
             self.record_event(
@@ -496,33 +506,30 @@ class RunTelemetry:
                 _QUEUE_WAIT_BOUNDS,
                 help="dispatch-to-worker-start wait per point (seconds)",
             ).observe(wait)
-        return record
+        return telemetry
 
     # ----------------------------------------------------------------- views
     def worker_ids(self) -> list[int]:
         """Distinct worker (OS process) ids, in first-seen order."""
-        seen: dict[int, None] = {}
-        for record in self.workers:
-            seen.setdefault(record["worker_id"], None)
-        return list(seen)
+        return list(dict.fromkeys(worker.worker_id for worker in self.workers))
 
     def origin_s(self) -> float:
         """Earliest aligned timestamp across the whole run (0 if empty)."""
         candidates = [span.start_s for span in self.timeline.spans]
         candidates += [event.ts_s for event in self.events]
         candidates += list(self._submits.values())
-        for record in self.workers:
-            candidates += [span["start_s"] for span in record["spans"]]
-            candidates += [event.ts_s for event in record["events"]]
+        for worker in self.workers:
+            candidates += [span.start_s for span in worker.spans]
+            candidates += [event.ts_s for event in worker.events]
         return min(candidates, default=0.0)
 
     def summary(self) -> str:
         """One-line human description of the merged trace."""
         spans = len(self.timeline) + sum(
-            len(record["spans"]) for record in self.workers
+            len(worker.spans) for worker in self.workers
         )
         events = len(self.events) + sum(
-            len(record["events"]) for record in self.workers
+            len(worker.events) for worker in self.workers
         )
         return (
             f"run {self.run_id}: {len(self.workers)} worker payload(s) from "
@@ -544,15 +551,23 @@ class RunTelemetry:
         t=0 with every process on one monotonic axis.
         """
         origin = self.origin_s()
-        out: list[dict] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": RUNNER_PID,
-                "tid": 0,
-                "args": {"name": "sweep runner"},
+
+        def event_entry(event: TelemetryEvent, pid: int, tid: int) -> dict:
+            entry = {
+                "name": event_slice_name(event.kind),
+                "cat": "telemetry",
+                "pid": pid,
+                "tid": tid,
+                "ts": (event.ts_s - origin) * 1e6,
+                "args": {k: _json_safe(v) for k, v in event.meta.items()},
             }
-        ]
+            if event.dur_s > 0:
+                entry.update(ph="X", dur=event.dur_s * 1e6)
+            else:
+                entry.update(ph="i", s="t")
+            return entry
+
+        out = [chrome_track_name(RUNNER_PID, "sweep runner")]
         out.extend(
             self.timeline.to_chrome_events(
                 pid=RUNNER_PID, tid=0, clock_offset_s=origin
@@ -562,95 +577,37 @@ class RunTelemetry:
         point_ids = sorted(
             {event.meta["point"] for event in self.events
              if "point" in event.meta}
-            | {record["point_id"] for record in self.workers}
+            | {worker.point_id for worker in self.workers}
         )
         if point_ids:
-            out.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": POINTS_PID,
-                    "tid": 0,
-                    "args": {"name": "sweep points"},
-                }
-            )
-        for point_id in point_ids:
-            out.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": POINTS_PID,
-                    "tid": point_id,
-                    "args": {"name": f"point {point_id}"},
-                }
-            )
-        for event in self.events:
-            tid = event.meta.get("point", 0)
-            entry = {
-                "name": event_slice_name(event.kind),
-                "cat": "telemetry",
-                "pid": POINTS_PID,
-                "tid": tid,
-                "ts": (event.ts_s - origin) * 1e6,
-                "args": {k: _json_safe(v) for k, v in event.meta.items()},
-            }
-            if event.dur_s > 0:
-                entry["ph"] = "X"
-                entry["dur"] = event.dur_s * 1e6
-            else:
-                entry["ph"] = "i"
-                entry["s"] = "t"
-            out.append(entry)
+            out.append(chrome_track_name(POINTS_PID, "sweep points"))
+        out.extend(
+            chrome_track_name(POINTS_PID, f"point {point_id}", tid=point_id)
+            for point_id in point_ids
+        )
+        out.extend(
+            event_entry(event, POINTS_PID, event.meta.get("point", 0))
+            for event in self.events
+        )
 
         pid_of = {
             worker_id: WORKER_PID_BASE + index
             for index, worker_id in enumerate(self.worker_ids())
         }
-        for worker_id, pid in pid_of.items():
-            out.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": f"worker pid={worker_id}"},
-                }
-            )
-        for record in self.workers:
-            pid = pid_of[record["worker_id"]]
-            for span in record["spans"]:
-                end = span["end_s"]
-                duration = 0.0 if end is None else end - span["start_s"]
-                args = {str(k): _json_safe(v) for k, v in span["meta"].items()}
-                args["span"] = span["id"]
-                args["point"] = record["point_id"]
+        out.extend(
+            chrome_track_name(pid, f"worker pid={worker_id}")
+            for worker_id, pid in pid_of.items()
+        )
+        for worker in self.workers:
+            pid = pid_of[worker.worker_id]
+            for span in worker.spans:
+                args = dict(span.meta)
+                args["span"] = span.context.span_id
+                args["point"] = worker.point_id
                 out.append(
-                    {
-                        "name": span["name"],
-                        "cat": "span",
-                        "ph": "X",
-                        "pid": pid,
-                        "tid": 0,
-                        "ts": (span["start_s"] - origin) * 1e6,
-                        "dur": duration * 1e6,
-                        "args": args,
-                    }
+                    chrome_slice(span, pid=pid, origin_s=origin, args=args)
                 )
-            for event in record["events"]:
-                out.append(
-                    {
-                        "name": event_slice_name(event.kind),
-                        "cat": "telemetry",
-                        "ph": "i",
-                        "s": "t",
-                        "pid": pid,
-                        "tid": 0,
-                        "ts": (event.ts_s - origin) * 1e6,
-                        "args": {
-                            k: _json_safe(v) for k, v in event.meta.items()
-                        },
-                    }
-                )
+            out.extend(event_entry(event, pid, 0) for event in worker.events)
 
         doc: dict = {"traceEvents": out, "displayTimeUnit": "ms"}
         other = {"run_id": self.run_id, "workers": len(pid_of)}

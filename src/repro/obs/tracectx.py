@@ -1,21 +1,24 @@
-"""W3C-traceparent-style trace contexts with deterministic ids.
+"""The one trace model: W3C-traceparent-style contexts with deterministic ids.
 
-A :class:`TraceContext` identifies one request-scoped trace: a 32-hex
+A :class:`TraceContext` identifies one node of a trace -- a serve
+request, a sweep run or point, a worker attempt or span: a 32-hex
 ``trace_id`` shared by every span in the tree, a 16-hex ``span_id`` for
 the current operation, and the parent span's id (``None`` at the root).
-Ids are *derived* -- ``sha256`` over the request id plus the span path --
-so two runs of the same request produce the same tree (DET001/DET002
-clean: no wall clock, no global RNG).
+Ids are *derived* -- ``sha256`` over the root id (a request or run id)
+plus the span path -- so two runs of the same request produce the same
+tree (DET001/DET002 clean: no wall clock, no global RNG).
 
 The wire format follows the W3C ``traceparent`` header
 (https://www.w3.org/TR/trace-context/)::
 
     00-<32 hex trace_id>-<16 hex span_id>-01
 
+:class:`SpanRecord` is one finished span of such a tree; worker payloads
+(:mod:`repro.obs.telemetry`) carry their spans in this form.
 :class:`RequestTracer` collects finished spans per trace into a bounded
 ring (always-on tracing must not leak memory) and exports any tree in
-the Chrome/Perfetto ``traceEvents`` format so serve traces line up with
-the sweep traces from :mod:`repro.obs.export`.
+the Chrome/Perfetto ``traceEvents`` format, with the same slice builder
+as the sweep traces (:func:`repro.obs.spans.chrome_slice`).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 from hashlib import sha256
 
 from repro.errors import ReproError
+from repro.obs.spans import chrome_slice, chrome_track_name
 
 TRACEPARENT_SCHEMA = "repro-traceparent/v1"
 TRACEPARENT_KEYS = frozenset({"schema", "trace_id", "span_id", "parent_id"})
@@ -132,7 +136,8 @@ class SpanRecord:
     meta: tuple[tuple[str, object], ...] = ()
 
     def as_dict(self) -> dict:
-        """JSON-ready form (flight bundles, ``/status`` traces)."""
+        """JSON-ready form (flight bundles, ``/status`` traces, worker
+        telemetry payloads)."""
         return {
             "trace_id": self.context.trace_id,
             "span_id": self.context.span_id,
@@ -142,6 +147,22 @@ class SpanRecord:
             "duration_s": self.duration_s,
             "meta": dict(self.meta),
         }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SpanRecord":
+        """Inverse of :meth:`as_dict`."""
+        parent_id = data.get("parent_id")
+        return cls(
+            context=TraceContext(
+                trace_id=str(data["trace_id"]),
+                span_id=str(data["span_id"]),
+                parent_id=None if parent_id is None else str(parent_id),
+            ),
+            name=str(data["name"]),
+            start_s=float(data["start_s"]),
+            duration_s=float(data["duration_s"]),
+            meta=tuple(sorted(dict(data.get("meta", {})).items())),
+        )
 
 
 @dataclass(frozen=True)
@@ -192,16 +213,22 @@ class RequestTracer:
         **meta: object,
     ) -> None:
         """Record one finished span under its trace."""
-        record = SpanRecord(
-            context=context,
-            name=name,
-            start_s=start_s,
-            duration_s=duration_s,
-            meta=tuple(sorted(meta.items())),
+        self.add(
+            SpanRecord(
+                context=context,
+                name=name,
+                start_s=start_s,
+                duration_s=duration_s,
+                meta=tuple(sorted(meta.items())),
+            )
         )
+
+    def add(self, record: SpanRecord) -> None:
+        """Retain one already-built span (e.g. a folded worker span)."""
+        trace_id = record.context.trace_id
         with self._lock:
-            self._spans.setdefault(context.trace_id, []).append(record)
-            self._spans.move_to_end(context.trace_id)
+            self._spans.setdefault(trace_id, []).append(record)
+            self._spans.move_to_end(trace_id)
             self._evict_locked()
 
     def link(self, context: TraceContext, linked_trace_id: str, reason: str) -> None:
@@ -259,31 +286,19 @@ class RequestTracer:
         span/parent ids ride in ``args`` so the tree is reconstructable,
         and links become instant ("i") events.
         """
-        events: list[dict] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": f"serve trace {trace_id[:8]}"},
-            }
-        ]
+        events = [chrome_track_name(pid, f"serve trace {trace_id[:8]}")]
         for record in self.spans_for(trace_id):
             events.append(
-                {
-                    "name": record.name,
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": 0,
-                    "ts": record.start_s * 1e6,
-                    "dur": record.duration_s * 1e6,
-                    "args": {
+                chrome_slice(
+                    record,
+                    pid=pid,
+                    args={
                         "trace_id": record.context.trace_id,
                         "span_id": record.context.span_id,
                         "parent_id": record.context.parent_id,
                         **dict(record.meta),
                     },
-                }
+                )
             )
         for link in self.links_for(trace_id):
             events.append(

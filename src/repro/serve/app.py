@@ -1,9 +1,9 @@
 """HTTP transport of the layout-planning service.
 
 :class:`PlanServer` wraps one :class:`~repro.serve.service.PlanService`
-in the same stdlib ``ThreadingHTTPServer`` idiom as the sweep monitor
-(:class:`~repro.obs.monitor.SweepMonitor`): a daemon thread, ephemeral
-ports via ``port=0``, idempotent ``close()``.  Endpoints:
+on the same :class:`~repro.obs.monitor.EmbeddedHTTPServer` base as the
+sweep monitor: a daemon thread, ephemeral ports via ``port=0``,
+idempotent ``close()``, a read timeout per connection.  Endpoints:
 
 * ``POST /plan``  -- one plan request; 200 (envelope), 400 (bad
   request), 429 + ``Retry-After`` (shed), 503 (degraded / shutdown),
@@ -35,11 +35,13 @@ from __future__ import annotations
 import json
 import signal
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from repro.obs.logging import get_logger
-from repro.obs.monitor import OPENMETRICS_CONTENT_TYPE
+from repro.obs.monitor import (
+    OPENMETRICS_CONTENT_TYPE,
+    EmbeddedHTTPServer,
+    JsonRequestHandler,
+)
 from repro.obs.openmetrics import render_openmetrics
 from repro.serve.schemas import ServeError, error_envelope
 from repro.serve.service import PlanService
@@ -48,16 +50,14 @@ from repro.serve.service import PlanService
 MAX_BODY_BYTES = 1 << 20
 
 
-class _ServeHandler(BaseHTTPRequestHandler):
+class _ServeHandler(JsonRequestHandler):
     """Request handler bridging HTTP to the service core."""
 
     server_version = "repro-serve/1"
-    #: Set by :class:`PlanServer` on the server object.
-    server: Any
 
     @property
     def _service(self) -> PlanService:
-        return self.server.service
+        return self.server.owner.service
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         if self.path == "/healthz":
@@ -137,42 +137,8 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return
         self._send_json(payload, code=code, headers=headers)
 
-    def _send_json(
-        self,
-        payload: dict[str, Any],
-        code: int = 200,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._send(
-            code, "application/json; charset=utf-8", body, headers=headers
-        )
 
-    def _send(
-        self,
-        code: int,
-        content_type: str,
-        body: bytes,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Route http.server chatter into the structured logger."""
-        get_logger("repro.serve.http").debug(
-            "http request",
-            request=format % args,
-            client=self.client_address[0],
-        )
-
-
-class PlanServer:
+class PlanServer(EmbeddedHTTPServer):
     """The HTTP server around one (started) :class:`PlanService`.
 
     Usage::
@@ -187,69 +153,20 @@ class PlanServer:
     owner.
     """
 
+    handler = _ServeHandler
+    error = ServeError
+    kind = "service"
+    thread_name = "repro-serve-http"
+    logger_name = "repro.serve.http"
+
     def __init__(
         self,
         service: PlanService,
         port: int = 0,
         host: str = "127.0.0.1",
     ) -> None:
-        if port < 0 or port > 65535:
-            raise ServeError(f"invalid serve port {port}")
         self.service = service
-        try:
-            self._server = ThreadingHTTPServer((host, port), _ServeHandler)
-        except OSError as exc:
-            raise ServeError(
-                f"cannot bind service to {host}:{port} ({exc})"
-            ) from exc
-        self._server.daemon_threads = True
-        self._server.service = service  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-        self._closed = False
-
-    @property
-    def host(self) -> str:
-        """Bound host address."""
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """Bound port (the actual one when constructed with ``port=0``)."""
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL of the running server."""
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "PlanServer":
-        """Serve requests in a daemon thread (no-op when already running)."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                name="repro-serve-http",
-                daemon=True,
-            )
-            self._thread.start()
-            get_logger("repro.serve").info("serving", url=self.url)
-        return self
-
-    def close(self) -> None:
-        """Stop listening and release the socket (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._thread is not None:
-            self._server.shutdown()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._server.server_close()
-
-    def __enter__(self) -> "PlanServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        super().__init__(port=port, host=host)
 
 
 def serve_forever(

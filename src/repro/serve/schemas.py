@@ -16,6 +16,7 @@ caches written by the offline path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 from typing import Any
@@ -180,12 +181,7 @@ def parse_plan_request(data: Any) -> PlanRequest:
         raise ConfigError(f"plan request: unknown keys {sorted(unknown)}")
     if "n" not in data:
         raise ConfigError("plan request: 'n' is required")
-    try:
-        n = int(data["n"])
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"plan request: 'n' must be an integer, got {data['n']!r}"
-        ) from None
+    n = _strict_int(data["n"], "n")
     if n <= 0:
         raise ConfigError(f"plan request: 'n' must be positive, got {n}")
     kwargs: dict[str, Any] = {"n": n}
@@ -203,10 +199,16 @@ def parse_plan_request(data: Any) -> PlanRequest:
                 "plan request: 'heights' must be a non-empty list"
             )
         kwargs["heights"] = tuple(
-            None if h in (None, 0) else int(h) for h in heights
+            None if h is None else (_strict_int(h, "heights") or None)
+            for h in heights
         )
     if "whole_blocks" in data:
-        kwargs["whole_blocks"] = bool(data["whole_blocks"])
+        if not isinstance(data["whole_blocks"], bool):
+            raise ConfigError(
+                f"plan request: 'whole_blocks' must be true or false, "
+                f"got {data['whole_blocks']!r}"
+            )
+        kwargs["whole_blocks"] = data["whole_blocks"]
     if "label" in data:
         kwargs["label"] = str(data["label"])
     if "overrides" in data:
@@ -214,12 +216,7 @@ def parse_plan_request(data: Any) -> PlanRequest:
             raise ConfigError("plan request: 'overrides' must be an object")
         kwargs["overrides"] = dict(data["overrides"])
     if "max_requests" in data:
-        try:
-            max_requests = int(data["max_requests"])
-        except (TypeError, ValueError):
-            raise ConfigError(
-                "plan request: 'max_requests' must be an integer"
-            ) from None
+        max_requests = _strict_int(data["max_requests"], "max_requests")
         if max_requests <= 0:
             raise ConfigError(
                 f"plan request: 'max_requests' must be positive, "
@@ -227,19 +224,27 @@ def parse_plan_request(data: Any) -> PlanRequest:
             )
         kwargs["max_requests"] = max_requests
     if "deadline_s" in data and data["deadline_s"] is not None:
-        try:
-            deadline_s = float(data["deadline_s"])
-        except (TypeError, ValueError):
+        deadline_s = data["deadline_s"]
+        if isinstance(deadline_s, bool) or not isinstance(
+            deadline_s, (int, float)
+        ):
+            raise ConfigError("plan request: 'deadline_s' must be a number")
+        if not math.isfinite(deadline_s) or deadline_s <= 0:
             raise ConfigError(
-                "plan request: 'deadline_s' must be a number"
-            ) from None
-        if deadline_s <= 0:
-            raise ConfigError(
-                f"plan request: 'deadline_s' must be positive, "
+                f"plan request: 'deadline_s' must be positive and finite, "
                 f"got {deadline_s}"
             )
-        kwargs["deadline_s"] = deadline_s
+        kwargs["deadline_s"] = float(deadline_s)
     return PlanRequest(**kwargs)
+
+
+def _strict_int(value: Any, name: str) -> int:
+    """A JSON integer field: ``bool``, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(
+            f"plan request: '{name}' must be an integer, got {value!r}"
+        )
+    return value
 
 
 def best_point(results: list[dict[str, Any]]) -> dict[str, Any]:

@@ -41,6 +41,7 @@ import threading
 import time
 from concurrent.futures import CancelledError as FutureCancelled
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import Any
 
 from repro.core.config import SystemConfig
@@ -56,7 +57,12 @@ from repro.obs.histogram import (
 )
 from repro.obs.logging import get_logger, global_ring
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import ClockAnchor, TelemetryError, WorkerTelemetry
+from repro.obs.telemetry import (
+    ClockAnchor,
+    TelemetryError,
+    align_worker_payload,
+    task_telemetry,
+)
 from repro.obs.tracectx import RequestTracer, TraceContext, parse_traceparent
 from repro.serialization import system_to_dict
 from repro.serve.admission import AdmissionController
@@ -780,13 +786,9 @@ class PlanService:
             attempt_ctx = (
                 ctx.child("attempt", attempt) if ctx is not None else None
             )
-            if attempt_ctx is not None and self.tracer is not None:
-                attempt_task["telemetry"] = {
-                    "run_id": f"trace:{attempt_ctx.trace_id}",
-                    "point_id": 0,
-                    "attempt": attempt,
-                }
-                attempt_task["tracectx"] = attempt_ctx.as_dict()
+            if ctx is not None and self.tracer is not None:
+                # The worker derives the same attempt context itself.
+                attempt_task["telemetry"] = task_telemetry(ctx.trace_id, ctx)
             attempt_start_s = time.perf_counter()
             status = run_attempt(
                 attempt_task, self.policy.timeout_s, cancel_event=cancel_event
@@ -819,10 +821,7 @@ class PlanService:
                 )
             if status["status"] == "ok":
                 result = status["outcome"]["result"]
-                if self.tracer is not None and attempt_ctx is not None:
-                    self._merge_worker_trace(
-                        attempt_ctx, status["outcome"].get("telemetry")
-                    )
+                self._fold_worker_spans(status["outcome"].get("telemetry"))
                 self.breaker.record_success()
                 if self.cache is not None:
                     self.cache.put(
@@ -850,55 +849,30 @@ class PlanService:
             )
         raise _PointFailure(last_error, last_message, last_reason.value)
 
-    def _merge_worker_trace(
-        self, attempt_ctx: TraceContext, payload: dict[str, Any] | None
-    ) -> None:
-        """Fold a worker child's telemetry spans into the request trace.
+    def _fold_worker_spans(self, payload: dict[str, Any] | None) -> None:
+        """Add a worker child's spans to the request trace.
 
-        Worker timestamps are shifted into this process's perf domain
-        via the anchor pair; span parentage is preserved by deriving a
-        deterministic context per worker span.  Telemetry defects are
-        swallowed -- tracing must never fail a successful compute.
+        The payload is clock-aligned by the same fold the sweep runner
+        uses; its spans already hang under the attempt's context.
+        Telemetry defects are swallowed -- tracing must never fail a
+        successful compute.
         """
         if self.tracer is None or not payload:
             return
         try:
-            telemetry = WorkerTelemetry.from_dict(payload)
+            worker = align_worker_payload(payload, self._anchor)
         except TelemetryError:
             return
-        offset = telemetry.anchor.offset_to(self._anchor)
-        contexts: dict[int, TraceContext] = {}
-        for span_id, span in enumerate(telemetry.timeline.spans):
-            derived = attempt_ctx.child("wspan", span_id)
-            parent = contexts.get(span.parent)
-            span_ctx = TraceContext(
-                trace_id=derived.trace_id,
-                span_id=derived.span_id,
-                parent_id=(
-                    parent.span_id if parent is not None else attempt_ctx.span_id
-                ),
-            )
-            contexts[span_id] = span_ctx
-            duration_s = (
-                max(0.0, span.end_s - span.start_s)
-                if span.end_s is not None
-                else 0.0
-            )
-            self.tracer.record(
-                span_ctx,
-                f"worker:{span.name}",
-                start_s=span.start_s + offset,
-                duration_s=duration_s,
-                **span.meta,
-            )
+        for span in worker.spans:
+            self.tracer.add(replace(span, name=f"worker:{span.name}"))
             if span.name == "simulate":
                 with self._metrics_lock:
                     observe_latency(
                         self._latency,
                         "serve.engine_phase_s",
-                        duration_s,
+                        span.duration_s,
                         ENGINE_PHASE_BOUNDS,
-                        exemplar=span_ctx.trace_id,
+                        exemplar=span.context.trace_id,
                         help="engine simulation phase inside a worker (seconds)",
                     )
 

@@ -40,7 +40,7 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import SweepStatus
 from repro.obs.spans import span_or_null
-from repro.obs.telemetry import RunTelemetry, TraceContext, WorkerTelemetry
+from repro.obs.telemetry import RunTelemetry, WorkerTelemetry, task_telemetry
 from repro.serialization import system_from_dict, system_to_dict, system_with_overrides
 from repro.sweep.cache import CACHE_VERSION, ResultCache
 from repro.sweep.grid import SweepGrid, SweepPoint
@@ -175,47 +175,29 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
     :class:`~repro.sweep.resilience.WorkerChaos`) makes the attempt
     misbehave for executor testing.
 
-    When the task carries a ``telemetry`` trace context (see
-    :class:`~repro.obs.telemetry.TraceContext`) the worker records a
-    local span timeline around the simulation and ships the serialized
+    When the task carries a ``telemetry`` member (see
+    :func:`~repro.obs.telemetry.task_telemetry`) the worker records
+    spans under the attempt's trace context and ships the serialized
     :class:`~repro.obs.telemetry.WorkerTelemetry` payload back on the
     outcome; without it the body is exactly the pre-telemetry code path.
     """
     chaos = task.get("chaos")
     if chaos:
         apply_chaos(chaos, task["index"], task.get("attempt", 1))
-    ctx_data = task.get("telemetry")
-    tracectx = task.get("tracectx")
-    trace_id = (
-        str(tracectx["trace_id"])
-        if isinstance(tracectx, dict) and tracectx.get("trace_id")
-        else None
-    )
-    trace_meta = {"trace_id": trace_id} if trace_id else {}
-    worker_tel: WorkerTelemetry | None = None
-    if ctx_data:
-        ctx = TraceContext.from_dict(ctx_data)
-        if task.get("attempt", 1) != ctx.attempt:
-            ctx = TraceContext(
-                run_id=ctx.run_id,
-                point_id=ctx.point_id,
-                attempt=task.get("attempt", 1),
-            )
-        worker_tel = WorkerTelemetry.start(ctx)
+    worker_tel = WorkerTelemetry.for_task(task)
     config = system_from_dict(task["config"])
     point = SweepPoint(**task["point"])
     registry = MetricsRegistry()
     engine = task.get("engine", "vector")
     if worker_tel is not None:
-        with worker_tel.timeline.span(
+        with worker_tel.span(
             "point",
             n=point.n,
             layout=point.layout,
             config=point.config_label,
-            attempt=task.get("attempt", 1),
-            **trace_meta,
+            attempt=worker_tel.attempt,
         ):
-            with worker_tel.timeline.span("simulate"):
+            with worker_tel.span("simulate"):
                 result = point_result(
                     point, config, task["max_requests"], engine=engine
                 )
@@ -228,8 +210,8 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
         "metrics": registry.as_dict(),
     }
     if worker_tel is not None:
-        worker_tel.record_event(EV_WORKER_END, point=task["index"], **trace_meta)
-        worker_tel.logger(**trace_meta).debug(
+        worker_tel.record_event(EV_WORKER_END, point=task["index"])
+        worker_tel.logger().debug(
             "point simulated",
             n=result["n"],
             layout=result["layout"],
@@ -436,8 +418,9 @@ def run_sweep(
             byte-identical to an uninterrupted run (enforced by tests).
         checkpoint_every: completions between snapshots.
         telemetry: record cross-process run telemetry -- every worker
-            task carries a :class:`~repro.obs.telemetry.TraceContext`,
-            workers ship span/event payloads back, and the merged
+            task carries its point's trace context
+            (:func:`~repro.obs.telemetry.task_telemetry`), workers ship
+            span/event payloads back, and the merged
             :class:`~repro.obs.telemetry.RunTelemetry` lands on the
             result's ``telemetry`` attribute (run metadata only: the
             deterministic JSON document is untouched).
@@ -552,7 +535,9 @@ def run_sweep(
         if run_tel is not None:
             # Attached AFTER key_for(payload): the trace context must
             # never influence cache identity.
-            task["telemetry"] = run_tel.context_for(index).as_dict()
+            task["telemetry"] = task_telemetry(
+                run_tel.run_id, run_tel.context_for(index)
+            )
         tasks.append(task)
 
     failures: list[dict[str, Any]] = []
@@ -591,10 +576,9 @@ def run_sweep(
                     simulated += 1
                     worker_id: int | None = None
                     if run_tel is not None and "telemetry" in outcome:
-                        worker_record = run_tel.merge_worker(
+                        worker_id = run_tel.merge_worker(
                             outcome["telemetry"]
-                        )
-                        worker_id = worker_record["worker_id"]
+                        ).worker_id
                     if status is not None:
                         attempts_log = entry.get("attempts_log") or []
                         status.mark_ok(

@@ -249,15 +249,15 @@ class TestSweepIntegration:
         result = run_sweep(GRID, max_requests=SAMPLE, jobs=2, telemetry=True)
         assert result.telemetry is not None
         worker_logs = [
-            log for record in result.telemetry.workers
-            for log in record["logs"]
+            log for worker in result.telemetry.workers for log in worker.logs
         ]
         assert worker_logs, "workers shipped no log records"
         for log in worker_logs:
             assert log.context["run_id"] == result.telemetry.run_id
             assert log.context["attempt"] >= 1
+            assert log.context["trace_id"] == result.telemetry.context.trace_id
             assert set(log.context) == {
-                "run_id", "point_id", "worker_id", "attempt",
+                "run_id", "point_id", "worker_id", "attempt", "trace_id",
             }
         # Merge forwarded the aligned records into the global pipeline.
         ring_messages = [r.message for r in global_ring().tail()]
@@ -266,9 +266,9 @@ class TestSweepIntegration:
     def test_worker_logs_clock_aligned_like_spans(self):
         configure_logging(level="debug")
         result = run_sweep(GRID, max_requests=SAMPLE, jobs=1, telemetry=True)
-        for record in result.telemetry.workers:
-            span_starts = [s["start_s"] for s in record["spans"]]
-            for log in record["logs"]:
+        for worker in result.telemetry.workers:
+            span_starts = [s.start_s for s in worker.spans]
+            for log in worker.logs:
                 # Aligned log timestamps land inside the aligned span
                 # window (same offset applied to both).
                 assert min(span_starts) - 1.0 <= log.perf_s

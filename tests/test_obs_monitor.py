@@ -1,6 +1,7 @@
 """Live monitoring: SweepStatus accounting and the embedded HTTP server."""
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -22,6 +23,7 @@ from repro.obs.logging import (
     reset_logging,
     validate_log_line,
 )
+from repro.obs import monitor as monitor_module
 from repro.obs.monitor import OPENMETRICS_CONTENT_TYPE, MonitorError
 from repro.sweep import SweepGrid, run_sweep
 
@@ -231,6 +233,18 @@ class TestEndpoints:
 
 
 class TestMonitorLifecycle:
+    def test_idle_connection_times_out(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "READ_TIMEOUT_S", 0.2)
+        with SweepMonitor(SweepStatus(), port=0) as monitor:
+            with socket.create_connection(
+                (monitor.host, monitor.port), timeout=5.0
+            ) as idle:
+                # The server drops the silent client instead of
+                # pinning a handler thread on it forever.
+                assert idle.recv(1) == b""
+            code, _, _ = get(monitor.url + "/status")
+            assert code == 200
+
     def test_invalid_port_rejected(self):
         with pytest.raises(MonitorError, match="invalid monitor port"):
             SweepMonitor(SweepStatus(), port=70000)

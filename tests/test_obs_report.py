@@ -1,8 +1,9 @@
 """The self-contained static HTML run report."""
 
 import json
+from dataclasses import replace
 
-from repro.obs import ClockAnchor, RunTelemetry, TraceContext, WorkerTelemetry
+from repro.obs import ClockAnchor, RunTelemetry, WorkerTelemetry
 from repro.obs.report import (
     build_run_report,
     load_bench_history,
@@ -18,14 +19,15 @@ def merged_run() -> RunTelemetry:
     run = RunTelemetry.start("report-run")
     run.anchor = ClockAnchor(wall_s=100.0, perf_s=10.0)
     worker = WorkerTelemetry(
-        TraceContext("report-run", point_id=0),
+        run.context_for(0).child("attempt", 1),
+        run_id="report-run",
+        point_id=0,
         worker_id=777,
         anchor=ClockAnchor(wall_s=100.0, perf_s=3.0),
     )
-    with worker.timeline.span("point", n=64):
+    with worker.span("point", n=64):
         pass
-    span = worker.timeline.spans[0]
-    span.start_s, span.end_s = 4.0, 4.5
+    worker.spans = [replace(worker.spans[0], start_s=4.0, duration_s=0.5)]
     run.merge_worker(worker.as_dict())
     return run
 

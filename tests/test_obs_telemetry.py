@@ -1,6 +1,7 @@
-"""Cross-process run telemetry: contexts, payloads, clock-aligned merge."""
+"""Cross-process run telemetry: task members, payloads, clock-aligned merge."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -15,9 +16,12 @@ from repro.obs.telemetry import (
     POINTS_PID,
     RUNNER_PID,
     WORKER_PID_BASE,
+    WORKER_TELEMETRY_KEYS,
     WORKER_TELEMETRY_SCHEMA,
     TelemetryError,
     TelemetryEvent,
+    align_worker_payload,
+    task_telemetry,
 )
 
 
@@ -38,16 +42,19 @@ def make_worker(
     span_len=0.5,
 ) -> WorkerTelemetry:
     """A WorkerTelemetry with a pinned anchor and one closed span."""
+    context = RunTelemetry(run_id).context_for(point_id).child("attempt", 1)
     telemetry = WorkerTelemetry(
-        TraceContext(run_id=run_id, point_id=point_id),
+        context,
+        run_id=run_id,
+        point_id=point_id,
         worker_id=worker_id,
         anchor=ClockAnchor(wall_s=wall, perf_s=perf),
     )
-    with telemetry.timeline.span("point", n=128):
+    with telemetry.span("point", n=128):
         pass
-    span = telemetry.timeline.spans[0]
-    span.start_s = span_at
-    span.end_s = span_at + span_len
+    telemetry.spans = [
+        replace(telemetry.spans[0], start_s=span_at, duration_s=span_len)
+    ]
     return telemetry
 
 
@@ -72,12 +79,27 @@ class TestClockAnchor:
 
 class TestTraceContext:
     def test_round_trip(self):
-        ctx = TraceContext(run_id="abc123", point_id=7, attempt=3)
-        assert TraceContext.from_dict(ctx.as_dict()) == ctx
+        # The task member survives JSON, and the worker derives the
+        # attempt's context from the point's.
+        point = TraceContext.root("abc123").child("point", 7)
+        task = {
+            "index": 7,
+            "attempt": 3,
+            "telemetry": task_telemetry("abc123", point),
+        }
+        telemetry = WorkerTelemetry.for_task(json.loads(json.dumps(task)))
+        assert telemetry.context == point.child("attempt", 3)
+        assert (telemetry.run_id, telemetry.point_id, telemetry.attempt) == (
+            "abc123", 7, 3,
+        )
 
     def test_attempt_defaults_to_one(self):
-        ctx = TraceContext.from_dict({"run_id": "r", "point_id": 0})
-        assert ctx.attempt == 1
+        point = TraceContext.root("r").child("point", 0)
+        task = {"index": 0, "telemetry": task_telemetry("r", point)}
+        assert WorkerTelemetry.for_task(task).attempt == 1
+
+    def test_no_member_records_nothing(self):
+        assert WorkerTelemetry.for_task({"index": 0}) is None
 
 
 class TestTelemetryEvent:
@@ -94,9 +116,25 @@ class TestTelemetryEvent:
 
 class TestWorkerTelemetry:
     def test_start_marks_worker_start(self):
-        telemetry = WorkerTelemetry.start(TraceContext("run", point_id=5))
+        point = TraceContext.root("run").child("point", 5)
+        telemetry = WorkerTelemetry.for_task(
+            {"index": 5, "telemetry": task_telemetry("run", point)}
+        )
         assert [event.kind for event in telemetry.events] == [EV_WORKER_START]
         assert telemetry.events[0].meta == {"point": 5, "attempt": 1}
+
+    def test_spans_hang_under_the_attempt_context(self):
+        telemetry = make_worker()
+        telemetry.spans = []
+        with telemetry.span("point"):
+            with telemetry.span("simulate"):
+                pass
+        by_name = {span.name: span.context for span in telemetry.spans}
+        assert by_name["point"].parent_id == telemetry.context.span_id
+        assert by_name["simulate"].parent_id == by_name["point"].span_id
+        assert {ctx.trace_id for ctx in by_name.values()} == {
+            telemetry.context.trace_id
+        }
 
     def test_payload_round_trips_through_json(self):
         telemetry = make_worker(point_id=2)
@@ -107,12 +145,15 @@ class TestWorkerTelemetry:
         rebuilt = WorkerTelemetry.from_dict(wire)
 
         assert rebuilt.context == telemetry.context
+        assert (rebuilt.run_id, rebuilt.point_id, rebuilt.attempt) == (
+            "run", 2, 1,
+        )
         assert rebuilt.worker_id == telemetry.worker_id
         assert rebuilt.anchor == telemetry.anchor
         assert rebuilt.events == telemetry.events
         assert rebuilt.registry.as_dict() == telemetry.registry.as_dict()
-        assert [s.name for s in rebuilt.timeline.spans] == ["point"]
-        assert rebuilt.timeline.spans[0].meta == {"n": 128}
+        assert rebuilt.spans == telemetry.spans
+        assert dict(rebuilt.spans[0].meta) == {"n": 128}
         # Serialization is idempotent: the rebuilt payload re-serializes
         # to the exact same wire form.
         assert rebuilt.as_dict() == wire
@@ -131,6 +172,20 @@ class TestWorkerTelemetry:
         with pytest.raises(TelemetryError, match="malformed"):
             WorkerTelemetry.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "member, value",
+        [
+            ("context", {"trace_id": "t", "span_id": "s"}),
+            ("spans", [{"name": "point"}]),
+            ("attempt", None),
+        ],
+    )
+    def test_malformed_trace_members_rejected(self, member, value):
+        payload = make_worker().as_dict()
+        payload[member] = value
+        with pytest.raises(TelemetryError, match="malformed"):
+            WorkerTelemetry.from_dict(payload)
+
     def test_malformed_event_kind_rejected(self):
         payload = make_worker().as_dict()
         payload["events"] = [{"kind": 999, "ts_s": 0.0}]
@@ -142,27 +197,40 @@ class TestRunTelemetryMerge:
     def test_clock_alignment_shifts_worker_spans(self):
         run = make_run()  # parent perf clock at 50.0
         worker = make_worker(span_at=8.0)  # worker perf clock at 7.0
-        record = run.merge_worker(worker.as_dict())
+        merged = run.merge_worker(worker.as_dict())
         # Same wall instant, perf 7.0 vs 50.0: offset is +43 s, so the
         # span recorded at worker-perf 8.0 lands at parent-perf 51.0.
-        assert record["clock_offset_s"] == pytest.approx(43.0)
-        assert record["spans"][0]["start_s"] == pytest.approx(51.0)
-        assert record["spans"][0]["end_s"] == pytest.approx(51.5)
+        assert merged.spans[0].start_s == pytest.approx(51.0)
+        assert merged.spans[0].duration_s == pytest.approx(0.5)
+        assert merged.anchor == run.anchor
 
-    def test_run_id_mismatch_rejected(self):
+    def test_alignment_shifts_events_and_logs_alike(self):
+        worker = make_worker(span_at=8.0)
+        worker.record_event(EV_RETRY, ts_s=8.25, point=0)
+        worker.logger().warning("late")
+        logged_at = worker.logs[0].perf_s
+        aligned = align_worker_payload(
+            worker.as_dict(), ClockAnchor(wall_s=1000.0, perf_s=50.0)
+        )
+        assert aligned.events[-1].ts_s == pytest.approx(51.25)
+        assert aligned.logs[0].perf_s == pytest.approx(logged_at + 43.0)
+
+    def test_trace_id_mismatch_rejected(self):
         run = make_run(run_id="expected")
         with pytest.raises(TelemetryError, match="expected"):
             run.merge_worker(make_worker(run_id="other").as_dict())
+        assert not run.workers
 
-    def test_duplicate_span_ids_namespaced_per_worker(self):
+    def test_span_ids_unique_across_workers(self):
         run = make_run()
-        # Two workers, each with local span id 0 for different points.
+        # Two workers, each with local span 0, for different points.
         run.merge_worker(make_worker(worker_id=111, point_id=0).as_dict())
         run.merge_worker(make_worker(worker_id=222, point_id=1).as_dict())
         ids = [
-            span["id"] for record in run.workers for span in record["spans"]
+            span.context.span_id for worker in run.workers
+            for span in worker.spans
         ]
-        assert ids == ["111/0/0", "222/1/0"]
+        assert len(ids) == 2
         assert len(set(ids)) == len(ids)
 
     def test_queue_wait_derived_from_submit_mark(self):
@@ -248,3 +316,6 @@ class TestChromeTrace:
 class TestSchemaConstant:
     def test_payload_carries_schema(self):
         assert make_worker().as_dict()["schema"] == WORKER_TELEMETRY_SCHEMA
+
+    def test_payload_keys_match_declaration(self):
+        assert set(make_worker().as_dict()) == WORKER_TELEMETRY_KEYS

@@ -6,6 +6,7 @@ to the service/state-machine level where HTTP adds only noise.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -96,6 +97,29 @@ class TestPlanRequest:
         ):
             with pytest.raises(ConfigError):
                 parse_plan_request(bad)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"n": 256, "whole_blocks": "false"},
+            {"n": 256, "whole_blocks": 0},
+            {"n": 256.7},
+            {"n": True},
+            {"n": "256"},
+            {"n": 256, "heights": [4.9]},
+            {"n": 256, "heights": [True]},
+            {"n": 256, "max_requests": True},
+            {"n": 256, "max_requests": 2048.0},
+            {"n": 256, "deadline_s": float("nan")},
+            {"n": 256, "deadline_s": float("inf")},
+            {"n": 256, "deadline_s": True},
+        ],
+    )
+    def test_loose_json_types_are_400(self, body):
+        with PlanService(jobs=1) as service:
+            code, envelope, _ = service.handle(body)
+        assert code == 400
+        assert envelope["error"] == "bad-request"
 
     def test_zero_height_means_eq1(self):
         request = parse_plan_request({"n": 512, "heights": [0, 8]})
@@ -280,6 +304,20 @@ class TestServiceHTTP:
             assert code == 404
             code, _, body = get(server.url + "/nope")
             assert code == 404 and b"endpoints" in body
+
+    def test_idle_connection_times_out(self, monkeypatch):
+        from repro.obs import monitor as monitor_module
+
+        monkeypatch.setattr(monitor_module, "READ_TIMEOUT_S", 0.2)
+        with PlanService(jobs=1) as service, PlanServer(service) as server:
+            with socket.create_connection(
+                (server.host, server.port), timeout=5.0
+            ) as idle:
+                # The server drops the silent client instead of
+                # pinning a handler thread on it forever.
+                assert idle.recv(1) == b""
+            code, _, _ = get(server.url + "/status")
+            assert code == 200
 
     def test_health_status_metrics_endpoints(self):
         with PlanService(jobs=1) as service, PlanServer(service) as server:
@@ -560,6 +598,40 @@ class TestRequestTracing:
         ]
         assert not orphans  # one connected tree, HTTP accept to engine
         assert json.dumps(events)  # Perfetto-loadable
+
+    def test_sweep_and_serve_fold_the_same_worker_spans(self):
+        from repro.obs.tracectx import RequestTracer
+
+        def chain_end(spans, span):
+            by_id = {s.context.span_id: s for s in spans}
+            while span.context.parent_id in by_id:
+                span = by_id[span.context.parent_id]
+            return span.context.parent_id
+
+        body = {**SPEC, "layouts": ["ddl"]}
+        swept = run_sweep(
+            SweepGrid(sizes=(SPEC["n"],), layouts=("ddl",)),
+            max_requests=SPEC["max_requests"],
+            telemetry=True,
+        )
+        [worker] = swept.telemetry.workers
+        sweep_attempt = swept.telemetry.context_for(0).child("attempt", 1)
+        for span in worker.spans:
+            assert chain_end(worker.spans, span) == sweep_attempt.span_id
+
+        tracer = RequestTracer()
+        with PlanService(jobs=1, tracer=tracer) as service:
+            code, envelope, _ = service.handle(body)
+        assert code == 200
+        spans = tracer.spans_for(envelope["trace_id"])
+        [serve_attempt] = [s.context for s in spans if s.name == "attempt"]
+        served = [s for s in spans if s.name.startswith("worker:")]
+        for span in served:
+            assert chain_end(served, span) == serve_attempt.span_id
+
+        assert sorted(f"worker:{s.name}" for s in worker.spans) == sorted(
+            s.name for s in served
+        )
 
     def test_coalesced_requests_link_to_the_owner_trace(self):
         from repro.obs.tracectx import RequestTracer

@@ -4,7 +4,7 @@
   order-independently -- cross-worker/shard aggregation must not depend
   on arrival order.
 * Trace-context injection is *observationally free*: attaching
-  ``tracectx``/``telemetry`` members to a worker task never changes the
+  the ``telemetry`` member to a worker task never changes the
   result document's bytes or the point's cache key.
 
 Seeded and deterministic (``derandomize=True``) with capped
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.config import SystemConfig
 from repro.obs.histogram import SERVE_LATENCY_BOUNDS, observe_latency
 from repro.obs.metrics import MetricsRegistry, pick_exemplar
+from repro.obs.telemetry import task_telemetry
 from repro.obs.tracectx import TraceContext
 from repro.serialization import system_to_dict
 from repro.sweep import ResultCache
@@ -156,18 +157,13 @@ class TestTraceInjectionIsFree:
         }
         key = ResultCache.key_for(payload)
         plain = _execute_task({"index": 0, "key": key, **payload})
-        ctx = TraceContext.root("req-000042").child("attempt", 1)
+        ctx = TraceContext.root("req-000042")
         traced = _execute_task(
             {
                 "index": 0,
                 "key": key,
                 **payload,
-                "tracectx": ctx.as_dict(),
-                "telemetry": {
-                    "run_id": f"trace:{ctx.trace_id}",
-                    "point_id": 0,
-                    "attempt": 1,
-                },
+                "telemetry": task_telemetry(ctx.trace_id, ctx),
             }
         )
         # The trace context must never influence cache identity...

@@ -18,8 +18,12 @@ trusts:
   ``asyncio.wait_for``; cancellation propagates through a
   ``threading.Event`` into :func:`run_attempt`, which terminates the
   abandoned child process.
-* **Retries** -- transient worker failures replay under the sweep's
-  :class:`~repro.sweep.resilience.RetryPolicy` (deterministic backoff).
+* **Retries** -- every point runs through the sweep's one retry
+  executor (:func:`~repro.sweep.resilience.run_with_retries`) under its
+  :class:`~repro.sweep.resilience.RetryPolicy` (deterministic backoff),
+  so a failed point reports the sweep's ``error`` / ``reason`` wording.
+  A client error (``ConfigError``, ``LayoutError``, ``FFTError`` in the
+  worker) answers 400 and never reaches the breaker.
 * **Circuit breaking** -- consecutive worker failures trip the
   :class:`~repro.serve.breaker.CircuitBreaker`; while OPEN the service
   answers from cache only (``"degraded": true`` envelopes, ``/readyz``
@@ -77,10 +81,12 @@ from repro.serve.schemas import (
 )
 from repro.sweep.cache import ResultCache
 from repro.sweep.resilience import (
+    CLIENT_ERRORS,
     QuarantineReason,
     RetryPolicy,
     WorkerChaos,
     run_attempt,
+    run_with_retries,
 )
 
 #: Default bound on concurrently admitted requests.
@@ -621,6 +627,19 @@ class PlanService:
                     "cancelled",
                 )
             except _PointFailure as exc:
+                if exc.error in CLIENT_ERRORS:
+                    log.info("bad request", error=exc.error, detail=exc.detail)
+                    return (
+                        400,
+                        error_envelope(
+                            "bad-request",
+                            exc.detail,
+                            request_id=request_id,
+                            trace_id=ctx.trace_id,
+                        ),
+                        {},
+                        "completed",
+                    )
                 self._bump("compute_failures")
                 log.error(
                     "compute failed", error=exc.error, reason=exc.reason
@@ -735,119 +754,78 @@ class PlanService:
         cancel_event: threading.Event,
         ctx: TraceContext | None = None,
     ) -> dict[str, Any] | None:
-        """Pool-thread body: retries of one killable child-process attempt.
+        """Pool-thread body: one point through the shared retry executor.
 
         Returns the point result, ``None`` when cancelled, or raises
         :class:`_PointFailure` after the policy is exhausted.  Breaker
-        outcomes are recorded here, per point.  With a tracer attached,
-        each attempt ships its trace context into the worker child and
-        folds the returned telemetry spans back into the request tree;
-        the task payload mutations happen *after* the cache key is
-        fixed, so results and keys are byte-identical either way.
+        outcomes are recorded here, per point; a client error (see
+        :data:`~repro.sweep.resilience.CLIENT_ERRORS`) never counts
+        against the breaker.  With a tracer attached, the task ships the
+        point's trace context into every worker child and the returned
+        telemetry spans fold back into the request tree; the task
+        payload mutations happen *after* the cache key is fixed, so
+        results and keys are byte-identical either way.
         """
-        task = dict(payload)
-        task["index"] = 0
-        task["engine"] = self.engine
+        task = {**payload, "index": 0, "engine": self.engine}
+        if ctx is not None and self.tracer is not None:
+            # The worker derives each attempt's context itself.
+            task["telemetry"] = task_telemetry(ctx.trace_id, ctx)
         point_start_s = time.perf_counter()
-        try:
-            return self._attempt_loop(
-                task, key, payload, cancel_event, ctx
-            )
-        finally:
-            if self.tracer is not None and ctx is not None:
-                self.tracer.record(
-                    ctx,
-                    "point",
-                    start_s=point_start_s,
-                    duration_s=time.perf_counter() - point_start_s,
-                    key=key[:12],
-                )
-
-    def _attempt_loop(
-        self,
-        task: dict[str, Any],
-        key: str,
-        payload: dict[str, Any],
-        cancel_event: threading.Event,
-        ctx: TraceContext | None,
-    ) -> dict[str, Any] | None:
-        """The retrying attempt loop of :meth:`_compute_point`."""
-        last_error = "SweepExecutionError"
-        last_message = "no attempt ran"
-        last_reason = QuarantineReason.EXCEPTION
-        for attempt in range(1, self.policy.max_attempts + 1):
-            if cancel_event.is_set():
-                return None
-            attempt_task = dict(task)
-            attempt_task["attempt"] = attempt
-            chaos = self.chaos
-            if chaos is not None:
-                attempt_task["chaos"] = chaos.as_dict()
-            attempt_ctx = (
-                ctx.child("attempt", attempt) if ctx is not None else None
-            )
-            if ctx is not None and self.tracer is not None:
-                # The worker derives the same attempt context itself.
-                attempt_task["telemetry"] = task_telemetry(ctx.trace_id, ctx)
-            attempt_start_s = time.perf_counter()
-            status = run_attempt(
-                attempt_task, self.policy.timeout_s, cancel_event=cancel_event
-            )
-            attempt_duration_s = float(
-                status.get("duration_s", time.perf_counter() - attempt_start_s)
-            )
-            exemplar = (
-                attempt_ctx.trace_id
-                if attempt_ctx is not None
-                else (ctx.trace_id if ctx is not None else None)
-            )
-            with self._metrics_lock:
+        # run_attempt is looked up in this module at call time, so a
+        # wrapped module attribute sees every serve attempt.
+        entry = run_with_retries(
+            run_attempt, task, self.policy, self.chaos, cancel_event
+        )
+        with self._metrics_lock:
+            for record in entry["attempts_log"]:
                 observe_latency(
                     self._latency,
                     "serve.attempt_s",
-                    attempt_duration_s,
+                    record["duration_s"],
                     ATTEMPT_BOUNDS,
-                    exemplar=exemplar,
+                    exemplar=ctx.trace_id if ctx is not None else None,
                     help="one killable worker attempt (seconds)",
                 )
-            if self.tracer is not None and attempt_ctx is not None:
+        if ctx is not None and self.tracer is not None:
+            for record in entry["attempts_log"]:
                 self.tracer.record(
-                    attempt_ctx,
+                    ctx.child("attempt", record["attempt"]),
                     "attempt",
-                    start_s=attempt_start_s,
-                    duration_s=attempt_duration_s,
-                    attempt=attempt,
-                    status=status["status"],
+                    start_s=record["start_s"],
+                    duration_s=record["duration_s"],
+                    attempt=record["attempt"],
+                    status=record["status"],
                 )
-            if status["status"] == "ok":
-                result = status["outcome"]["result"]
-                self._fold_worker_spans(status["outcome"].get("telemetry"))
-                self.breaker.record_success()
-                if self.cache is not None:
-                    self.cache.put(
-                        key,
-                        {
-                            "point": payload["point"],
-                            "config": payload["config"],
-                            "max_requests": payload["max_requests"],
-                        },
-                        result,
-                    )
-                return result
-            if status["status"] == "cancelled":
-                return None
-            last_error = status.get("error", status["status"])
-            last_message = status.get("message", f"attempt {status['status']}")
-            last_reason = QuarantineReason(status["reason"])
-            if attempt < self.policy.max_attempts:
-                if cancel_event.wait(self.policy.backoff_for(0, attempt)):
-                    return None
-        self.breaker.record_failure()
-        with self._metrics_lock:
-            self._failure_reasons[last_reason.value] = (
-                self._failure_reasons.get(last_reason.value, 0) + 1
+            self.tracer.record(
+                ctx,
+                "point",
+                start_s=point_start_s,
+                duration_s=time.perf_counter() - point_start_s,
+                key=key[:12],
             )
-        raise _PointFailure(last_error, last_message, last_reason.value)
+        if entry["status"] == "cancelled":
+            return None
+        if entry["status"] == "ok":
+            result = entry["outcome"]["result"]
+            self._fold_worker_spans(entry["outcome"].get("telemetry"))
+            self.breaker.record_success()
+            if self.cache is not None:
+                # The payload is exactly the {point, config, max_requests}
+                # document the key was computed from.
+                self.cache.put(key, payload, result)
+            return result
+        failure = entry["failure"]
+        if failure["error"] in CLIENT_ERRORS:
+            # The worker answered, so the pool is healthy: this closes a
+            # half-open probe instead of leaving it in flight forever.
+            self.breaker.record_success()
+        else:
+            self.breaker.record_failure()
+            with self._metrics_lock:
+                self._failure_reasons[failure["reason"]] = (
+                    self._failure_reasons.get(failure["reason"], 0) + 1
+                )
+        raise _PointFailure(failure["error"], failure["message"], failure["reason"])
 
     def _fold_worker_spans(self, payload: dict[str, Any] | None) -> None:
         """Add a worker child's spans to the request trace.

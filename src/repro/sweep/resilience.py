@@ -14,7 +14,11 @@ point can never take the grid down:
   itself: make chosen points crash or hang inside the worker, so the
   recovery machinery is exercised by the real failure path;
 * :func:`run_attempt` -- one isolated attempt of one point in a
-  killable child process (a hung worker is terminated, not waited on);
+  killable child process (a hung worker is terminated, not waited on),
+  which classifies every failed attempt (``reason``, ``error``,
+  ``message``);
+* :func:`run_with_retries` -- the one retry loop, shared by ``repro
+  sweep`` and ``repro serve``;
 * :class:`SweepCheckpoint` -- periodic atomic snapshots of completed
   points keyed by a digest of the full sweep identity, replayed by
   ``--resume`` so an interrupted sweep continues instead of restarting.
@@ -31,6 +35,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -85,6 +91,17 @@ def reason_for_status(status: str) -> QuarantineReason:
             f"unknown attempt status {status!r} "
             f"(known: {sorted(_STATUS_REASONS)})"
         ) from None
+
+
+#: Exception names that mean the request itself is invalid: retrying
+#: cannot help and the worker pool is healthy, so the service answers
+#: them with 400 and never counts them against its circuit breaker.
+CLIENT_ERRORS = frozenset({"ConfigError", "LayoutError", "FFTError"})
+
+
+def describe_exception(exc: BaseException) -> tuple[str, str]:
+    """The ``(error, message)`` pair a failure record spells ``exc`` as."""
+    return type(exc).__name__, str(exc)
 
 
 # ---------------------------------------------------------------- retry policy
@@ -211,8 +228,6 @@ class WorkerChaos:
 
 def apply_chaos(chaos: dict[str, Any], index: int, attempt: int) -> None:
     """Worker-side chaos hook: hang and/or raise for the configured points."""
-    import time
-
     if index in chaos.get("hang_points", ()):
         time.sleep(chaos.get("hang_s", 30.0))
     if index in chaos.get("fail_points", ()):
@@ -231,9 +246,8 @@ def _attempt_child(conn: Any, task: dict[str, Any]) -> None:
     try:
         outcome = _execute_task(task)
     except BaseException as exc:  # noqa: BLE001 - quarantine everything
-        conn.send(
-            {"status": "error", "error": type(exc).__name__, "message": str(exc)}
-        )
+        error, message = describe_exception(exc)
+        conn.send({"status": "error", "error": error, "message": message})
     else:
         conn.send({"status": "ok", "outcome": outcome})
     finally:
@@ -258,8 +272,9 @@ def run_attempt(
     died without reporting (hard crash), ``{"status": "cancelled"}``
     when ``cancel_event`` was set while the attempt ran (the child is
     terminated -- abandoned work never lingers).  Every non-ok status
-    carries its canonical ``reason`` (:class:`QuarantineReason`), and
-    every status the attempt's measured ``duration_s``.
+    carries its canonical ``reason`` (:class:`QuarantineReason`) and the
+    ``error`` / ``message`` pair a quarantine record quotes, and every
+    status the attempt's measured ``duration_s``.
 
     ``cancel_event`` is any object with an ``is_set()`` method (a
     ``threading.Event`` in practice); when given, the wait polls in
@@ -270,8 +285,6 @@ def run_attempt(
     # Attempt duration is telemetry about THIS execution (it feeds the
     # run trace's retry annotations), never part of the deterministic
     # result payload -- same carve-out as the runner's meta["wall_s"].
-    import time
-
     started = time.perf_counter()  # repro: ignore[DET001]
     parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
     # Forked children run _attempt_child only: it re-seeds, touches no
@@ -316,25 +329,38 @@ def run_attempt(
         if waited != "ready":
             proc.terminate()
             proc.join()
-            status: dict[str, Any] = {"status": waited}
-            if waited == "timeout":
-                log.warning("attempt timed out", timeout_s=timeout_s)
-            else:
-                log.info("attempt cancelled")
+        # Every non-ok status is classified here, in the words the
+        # quarantine record quotes.
+        if waited == "timeout":
+            status: dict[str, Any] = {
+                "status": "timeout",
+                "error": "TimeoutError",
+                "message": f"attempt exceeded the {timeout_s}s budget and was killed",
+            }
+            log.warning("attempt timed out", timeout_s=timeout_s)
+        elif waited == "cancelled":
+            status = {
+                "status": "cancelled",
+                "error": "CancelledError",
+                "message": "attempt abandoned by its caller",
+            }
+            log.info("attempt cancelled")
         else:
             try:
                 status = parent_conn.recv()
             except EOFError:
+                code = proc.exitcode
                 status = {
                     "status": "crashed",
-                    "exitcode": proc.exitcode,
+                    "error": "WorkerCrash",
+                    "message": f"worker died without reporting (exit code {code})",
                 }
-                log.warning("worker crashed", exitcode=proc.exitcode)
+                log.warning("worker crashed", exitcode=code)
         if status["status"] == "error":
             log.warning(
                 "attempt raised",
-                error=status.get("error"),
-                detail=status.get("message"),
+                error=status["error"],
+                detail=status["message"],
             )
         if status["status"] != "ok":
             status["reason"] = reason_for_status(status["status"]).value
@@ -343,6 +369,67 @@ def run_attempt(
     finally:
         parent_conn.close()
         proc.join()
+
+
+def run_with_retries(
+    attempt_fn: Callable[..., dict[str, Any]],
+    task: dict[str, Any],
+    policy: RetryPolicy,
+    chaos: WorkerChaos | None = None,
+    cancel_event: Any | None = None,
+) -> dict[str, Any]:
+    """Run one point under ``policy``: the one retry loop of the package.
+
+    ``attempt_fn`` has :func:`run_attempt`'s signature and status dicts
+    (tests pass a fake).  Failed attempts back off by
+    ``policy.backoff_for``, waiting on ``cancel_event`` when given.
+    Returns ``{"status": "ok", "outcome": ...}``, ``{"status": "failed",
+    "failure": ...}`` (a :func:`failure_record` quoting the last attempt)
+    or ``{"status": "cancelled"}``, each with ``retries`` and an
+    ``attempts_log`` of ``{attempt, status, start_s, duration_s}``.
+    """
+    attempts_log: list[dict[str, Any]] = []
+
+    def entry(status: str, **fields: Any) -> dict[str, Any]:
+        return {
+            "status": status,
+            **fields,
+            "retries": max(0, len(attempts_log) - 1),
+            "attempts_log": attempts_log,
+        }
+
+    status: dict[str, Any] = {}
+    for attempt in range(1, policy.max_attempts + 1):
+        if cancel_event is not None and cancel_event.is_set():
+            return entry("cancelled")
+        payload = dict(task, attempt=attempt)
+        if chaos is not None:
+            payload["chaos"] = chaos.as_dict()
+        start_s = time.perf_counter()  # repro: ignore[DET001]
+        status = attempt_fn(payload, policy.timeout_s, cancel_event=cancel_event)
+        record = {"attempt": attempt, "status": status["status"], "start_s": start_s}
+        record["duration_s"] = time.perf_counter() - start_s  # repro: ignore[DET001]
+        attempts_log.append(record)
+        if status["status"] == "ok":
+            return entry("ok", outcome=status["outcome"])
+        if status["status"] == "cancelled":
+            return entry("cancelled")
+        if attempt < policy.max_attempts:
+            delay = policy.backoff_for(task["index"], attempt)
+            if cancel_event is None:
+                time.sleep(delay)
+            elif cancel_event.wait(delay):
+                return entry("cancelled")
+    failure = failure_record(
+        index=task["index"],
+        point=task["point"],
+        error=status["error"],
+        message=status["message"],
+        attempts=policy.max_attempts,
+        timed_out=status["reason"] == QuarantineReason.TIMEOUT.value,
+        reason=status["reason"],
+    )
+    return entry("failed", failure=failure)
 
 
 def failure_record(

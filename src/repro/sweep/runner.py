@@ -45,13 +45,14 @@ from repro.serialization import system_from_dict, system_to_dict, system_with_ov
 from repro.sweep.cache import CACHE_VERSION, ResultCache
 from repro.sweep.grid import SweepGrid, SweepPoint
 from repro.sweep.resilience import (
-    QuarantineReason,
     RetryPolicy,
     SweepCheckpoint,
     WorkerChaos,
     apply_chaos,
+    describe_exception,
     failure_record,
     run_attempt,
+    run_with_retries,
 )
 from repro.sweep.results import SweepResult
 
@@ -223,78 +224,6 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
 
 
 # -------------------------------------------------------------- outcome plumbing
-def _attempt_point(
-    task: dict[str, Any],
-    policy: RetryPolicy,
-    chaos: WorkerChaos | None,
-) -> dict[str, Any]:
-    """Run one point under the retry policy in killable child processes.
-
-    Returns ``{"status": "ok", "outcome": ..., "retries": n}`` or
-    ``{"status": "failed", "failure": ..., "retries": n}``; both carry
-    an ``attempts_log`` of ``{attempt, status, duration_s}`` records the
-    runner turns into RETRY telemetry events.
-    """
-    index = task["index"]
-    last_error = "SweepExecutionError"
-    last_message = "no attempt ran"
-    last_reason = QuarantineReason.EXCEPTION
-    attempts_log: list[dict[str, Any]] = []
-    for attempt in range(1, policy.max_attempts + 1):
-        payload = dict(task)
-        payload["attempt"] = attempt
-        if chaos is not None:
-            payload["chaos"] = chaos.as_dict()
-        status = run_attempt(payload, policy.timeout_s)
-        attempts_log.append(
-            {
-                "attempt": attempt,
-                "status": status["status"],
-                "duration_s": status.get("duration_s", 0.0),
-            }
-        )
-        if status["status"] == "ok":
-            return {
-                "status": "ok",
-                "outcome": status["outcome"],
-                "retries": attempt - 1,
-                "attempts_log": attempts_log,
-            }
-        if status["status"] == "timeout":
-            last_error = "TimeoutError"
-            last_message = (
-                f"attempt exceeded the {policy.timeout_s}s budget and was killed"
-            )
-            last_reason = QuarantineReason.TIMEOUT
-        elif status["status"] == "crashed":
-            last_error = "WorkerCrash"
-            last_message = (
-                f"worker died without reporting (exit code {status.get('exitcode')})"
-            )
-            last_reason = QuarantineReason.WORKER_CRASH
-        else:
-            last_error = status.get("error", "Exception")
-            last_message = status.get("message", "")
-            last_reason = QuarantineReason.EXCEPTION
-        if attempt < policy.max_attempts:
-            time.sleep(policy.backoff_for(index, attempt))
-    failure = failure_record(
-        index=index,
-        point=task["point"],
-        error=last_error,
-        message=last_message,
-        attempts=policy.max_attempts,
-        timed_out=last_reason is QuarantineReason.TIMEOUT,
-        reason=last_reason,
-    )
-    return {
-        "status": "failed",
-        "failure": failure,
-        "retries": policy.retries,
-        "attempts_log": attempts_log,
-    }
-
-
 def _record_retry_events(
     run_tel: RunTelemetry, entry: dict[str, Any]
 ) -> None:
@@ -324,13 +253,14 @@ def _iter_outcomes_fast(
         try:
             return {"status": "ok", "outcome": call(), "retries": 0}
         except Exception as exc:  # noqa: BLE001 - quarantine, never abort
+            error, message = describe_exception(exc)
             return {
                 "status": "failed",
                 "failure": failure_record(
                     index=task["index"],
                     point=task["point"],
-                    error=type(exc).__name__,
-                    message=str(exc),
+                    error=error,
+                    message=message,
                     attempts=1,
                 ),
                 "retries": 0,
@@ -341,7 +271,7 @@ def _iter_outcomes_fast(
             yield outcome_of(task, lambda task=task: _execute_task(task))
         return
     # Workers are forked before this module's thread pool exists (the
-    # resilient path uses _attempt_point's fresh children instead), and
+    # resilient path uses run_attempt's fresh children instead), and
     # the worker body re-imports everything it touches; spawn would add
     # a full interpreter+numpy start per worker for no safety gain.
     # repro: ignore[CONC003]
@@ -366,11 +296,12 @@ def _iter_outcomes_resilient(
     """Isolated-attempt execution: worker threads drive child processes."""
     if jobs == 1 or len(tasks) == 1:
         for task in tasks:
-            yield _attempt_point(task, policy, chaos)
+            yield run_with_retries(run_attempt, task, policy, chaos)
         return
     with ThreadPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         pending = {
-            pool.submit(_attempt_point, task, policy, chaos) for task in tasks
+            pool.submit(run_with_retries, run_attempt, task, policy, chaos)
+            for task in tasks
         }
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)

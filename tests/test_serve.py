@@ -476,6 +476,62 @@ class TestServiceHTTP:
         assert status["counters"]["degraded_answers"] == 1
         assert status["counters"]["degraded_refusals"] == 1
 
+    def test_client_errors_never_trip_the_breaker(self):
+        # n=3 passes the schema but every worker raises FFTError: the
+        # request is at fault, not the pool, so it answers 400 and the
+        # breaker never hears of it.
+        threshold = 2
+        service = PlanService(
+            jobs=1, breaker=CircuitBreaker(threshold=threshold, reset_s=30.0)
+        )
+        with service, PlanServer(service) as server:
+            for _ in range(threshold + 1):
+                code, _, envelope = post(server.url + "/plan", {"n": 3})
+                assert code == 400
+                assert envelope["error"] == "bad-request"
+                assert "power of two" in envelope["message"]
+            assert service.breaker.state == CLOSED
+            code, _, _ = get(server.url + "/readyz")
+            assert code == 200
+            code, _, envelope = post(server.url + "/plan", SPEC)
+            assert code == 200
+            assert envelope["degraded"] is False
+        status = service.status_snapshot()
+        assert status["failure_reasons"] == {}
+        assert status["counters"]["compute_failures"] == 0
+
+    def test_client_error_probe_closes_a_half_open_breaker(self):
+        # A half-open probe that ends in a client error still proves the
+        # pool healthy; it must not leave the probe in flight forever.
+        now = [0.0]
+        breaker = CircuitBreaker(threshold=1, reset_s=30.0, clock=lambda: now[0])
+        with PlanService(jobs=1, breaker=breaker) as service:
+            breaker.record_failure()
+            assert breaker.state == OPEN
+            now[0] = 31.0
+            code, envelope, _ = service.handle({"n": 3})
+            assert code == 400 and envelope["error"] == "bad-request"
+            assert breaker.state == CLOSED
+            code, _, _ = service.handle(SPEC)
+            assert code == 200
+
+    def test_attempt_timeout_speaks_the_sweep_vocabulary(self):
+        service = PlanService(
+            jobs=2,
+            chaos=WorkerChaos(hang_points=(0,), hang_s=30.0),
+            policy=RetryPolicy(timeout_s=0.5, retries=0),
+        )
+        with service, PlanServer(service) as server:
+            code, _, envelope = post(
+                server.url + "/plan", {**SPEC, "deadline_s": 30.0}
+            )
+        assert code == 500
+        assert envelope["error"] == "TimeoutError"
+        assert envelope["reason"] == QuarantineReason.TIMEOUT.value
+        assert envelope["message"] == (
+            "attempt exceeded the 0.5s budget and was killed"
+        )
+
     def test_drain_finishes_accepted_requests_then_sheds(self):
         service = PlanService(jobs=2)
         with service, PlanServer(service) as server:

@@ -24,7 +24,7 @@ from repro.sweep import (
     reason_for_status,
     run_sweep,
 )
-from repro.sweep.resilience import failure_record
+from repro.sweep.resilience import failure_record, run_with_retries
 
 #: Cheap but non-trivial request budget for engine tests.
 SAMPLE = 2_048
@@ -406,6 +406,110 @@ class TestResilientExecution:
         guarded = run_sweep(self.GRID, max_requests=SAMPLE, jobs=2,
                             policy=RetryPolicy(timeout_s=60.0, retries=1))
         assert guarded.to_json() == clean.to_json()
+
+
+class FakeAttempt:
+    """A scripted stand-in for ``run_attempt``: no child processes."""
+
+    def __init__(self, *statuses):
+        self.statuses = list(statuses)
+        self.calls = []
+
+    def __call__(self, task, timeout_s, cancel_event=None):
+        self.calls.append((task, timeout_s, cancel_event))
+        return dict(self.statuses.pop(0))
+
+
+class FakeEvent:
+    """A cancel event that records backoff waits instead of sleeping."""
+
+    def __init__(self, cancel_on_wait=False):
+        self.cancelled = False
+        self.cancel_on_wait = cancel_on_wait
+        self.waits = []
+
+    def is_set(self):
+        return self.cancelled
+
+    def wait(self, timeout):
+        self.waits.append(timeout)
+        self.cancelled = self.cancelled or self.cancel_on_wait
+        return self.cancelled
+
+
+OK = {"status": "ok", "outcome": {"index": 7, "result": {"v": 1}}}
+RAISED = {"status": "error", "error": "SweepExecutionError",
+          "message": "boom", "reason": "exception"}
+TIMED_OUT = {"status": "timeout", "error": "TimeoutError",
+             "message": "attempt exceeded the 0.5s budget and was killed",
+             "reason": "timeout"}
+
+
+class TestRetryExecutor:
+    """``run_with_retries`` -- the one retry loop -- driven by a fake
+    attempt callable, so no test here forks."""
+
+    TASK = {"index": 7, "point": {"n": 128}}
+
+    def test_fail_then_ok_counts_one_retry(self):
+        attempt = FakeAttempt(RAISED, OK)
+        chaos = WorkerChaos(fail_points=(7,), fail_attempts=1)
+        policy = RetryPolicy(timeout_s=2.0, retries=2)
+        entry = run_with_retries(attempt, self.TASK, policy, chaos, FakeEvent())
+        assert entry["status"] == "ok"
+        assert entry["outcome"] == OK["outcome"]
+        assert entry["retries"] == 1
+        assert [r["status"] for r in entry["attempts_log"]] == ["error", "ok"]
+        assert all("start_s" in r for r in entry["attempts_log"])
+        tasks = [task for task, _, _ in attempt.calls]
+        assert [task["attempt"] for task in tasks] == [1, 2]
+        assert all(task["chaos"] == chaos.as_dict() for task in tasks)
+        assert {timeout for _, timeout, _ in attempt.calls} == {2.0}
+
+    def test_exhausted_attempts_quarantine_the_last_classification(self):
+        attempt = FakeAttempt(RAISED, TIMED_OUT)
+        policy = RetryPolicy(retries=1)
+        entry = run_with_retries(attempt, self.TASK, policy, None, FakeEvent())
+        assert entry["status"] == "failed"
+        assert entry["retries"] == 1
+        assert entry["failure"] == failure_record(
+            7, {"n": 128}, "TimeoutError",
+            "attempt exceeded the 0.5s budget and was killed",
+            attempts=policy.max_attempts, timed_out=True, reason="timeout",
+        )
+
+    def test_cancel_before_the_first_attempt(self):
+        attempt = FakeAttempt(OK)
+        event = FakeEvent()
+        event.cancelled = True
+        entry = run_with_retries(attempt, self.TASK, RetryPolicy(), None, event)
+        assert entry["status"] == "cancelled"
+        assert attempt.calls == []
+
+    def test_cancel_during_backoff_runs_no_further_attempt(self):
+        attempt = FakeAttempt(RAISED, OK)
+        event = FakeEvent(cancel_on_wait=True)
+        entry = run_with_retries(
+            attempt, self.TASK, RetryPolicy(retries=3), None, event
+        )
+        assert entry["status"] == "cancelled"
+        assert len(attempt.calls) == 1
+        assert len(event.waits) == 1
+
+    def test_backoff_waits_follow_the_policy(self, monkeypatch):
+        import repro.sweep.resilience as resilience
+
+        policy = RetryPolicy(retries=3, backoff_s=0.5, max_backoff_s=1.5)
+        expected = [policy.backoff_for(7, attempt) for attempt in (1, 2, 3)]
+        event = FakeEvent()
+        run_with_retries(FakeAttempt(*[RAISED] * 4), self.TASK, policy,
+                         None, event)
+        assert event.waits == expected
+        # Without a cancel event the executor sleeps the same delays.
+        slept = []
+        monkeypatch.setattr(resilience.time, "sleep", slept.append)
+        run_with_retries(FakeAttempt(*[RAISED] * 4), self.TASK, policy)
+        assert slept == expected
 
 
 class TestCheckpointResume:

@@ -16,6 +16,9 @@ demands the issue's overload semantics end to end:
   alike expose a 32-hex ``trace_id`` (PR 10 end-to-end tracing);
 * ``GET /debug/bundle`` returns a valid flight-recorder bundle
   (dumped to ``load-smoke-bundle.json`` as a CI artifact);
+* **client errors never trip the breaker** -- six plans that fail in
+  the worker with a client error (``n = 3``) all answer 400, ``/readyz``
+  stays 200 and a valid plan still answers 200, not degraded;
 * **SIGTERM drains cleanly**: the server exits 0 within the drain
   budget and leaves a ``flight-sigterm.json`` forensic bundle behind.
 
@@ -246,6 +249,32 @@ def main(argv: list[str] | None = None) -> int:
             "metrics parse and report the sheds",
             shed_total >= len(shed) >= 1,
             f"serve_shed_total={shed_total}",
+        ))
+
+        # Client errors: n=3 passes the schema but fails in every
+        # worker; one more than the default breaker threshold (5) must
+        # all answer 400 and leave the service ready and undegraded.
+        invalid = [post_plan(url, {"n": 3}) for _ in range(6)]
+        checks.append((
+            "invalid plans answer 400",
+            all(r["code"] == 400 for r in invalid),
+            f"codes {[r['code'] for r in invalid]}",
+        ))
+        try:
+            with urllib.request.urlopen(url + "/readyz", timeout=5.0) as resp:
+                ready = resp.status
+        except urllib.error.HTTPError as exc:
+            ready = exc.code
+        checks.append((
+            "/readyz stays 200 after invalid plans",
+            ready == 200,
+            f"/readyz {ready}",
+        ))
+        valid = post_plan(url, spec)
+        checks.append((
+            "a valid plan still answers 200, not degraded",
+            valid["code"] == 200 and valid["body"].get("degraded") is False,
+            f"code {valid['code']}, degraded={valid['body'].get('degraded')}",
         ))
 
         server.send_signal(signal.SIGTERM)

@@ -11,8 +11,9 @@ with zero third-party dependencies:
 * :mod:`repro.obs.events` -- typed per-request :class:`EventTrace`
   recording (ACTIVATE / ROW_HIT / REFRESH_STALL / TSV_CONTENTION) with a
   :class:`NullRecorder` fast path for the uninstrumented hot loop.
-* :mod:`repro.obs.spans` -- hierarchical :class:`SpanTimeline` phase
-  timers for the modelling pipeline.
+* :mod:`repro.obs.spans` -- :class:`SpanTimeline`, the one nesting span
+  recorder: host phases of the modelling pipeline, sweep runs and
+  worker attempts, all as ``SpanRecord`` s under a :class:`TraceContext`.
 * :mod:`repro.obs.export` -- Chrome ``trace_event`` JSON (open in
   Perfetto) and per-vault utilization / row-hit breakdown tables.
 * :mod:`repro.obs.telemetry` -- cross-process run telemetry: sweep and
@@ -36,7 +37,8 @@ with zero third-party dependencies:
 * :mod:`repro.obs.tracectx` -- the one trace model: the
   W3C-traceparent-style :class:`TraceContext` with deterministic
   trace/span ids that sweep points, serve requests and worker spans all
-  hang from, plus the :class:`RequestTracer` span/link rings behind the
+  hang from, the one span type (``SpanRecord``) and Chrome slice
+  builder, plus the :class:`RequestTracer` span/link rings behind the
   serving stack's end-to-end Perfetto trees.
 * :mod:`repro.obs.histogram` -- shared latency-histogram bucket
   boundaries plus exemplar-aware observe/summarize helpers
@@ -119,7 +121,7 @@ from repro.obs.openmetrics import (
     write_openmetrics,
 )
 from repro.obs.profile import SamplingProfiler, profile_call
-from repro.obs.spans import Span, SpanTimeline, span_or_null
+from repro.obs.spans import SpanTimeline, span_or_null
 from repro.obs.telemetry import (
     ClockAnchor,
     RunTelemetry,
@@ -158,7 +160,6 @@ __all__ = [
     "RunTelemetry",
     "STATUS_SCHEMA",
     "SamplingProfiler",
-    "Span",
     "SpanTimeline",
     "StructuredLogger",
     "SweepMonitor",

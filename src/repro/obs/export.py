@@ -21,7 +21,8 @@ from typing import IO
 from repro.memory3d.config import Memory3DConfig
 from repro.memory3d.stats import AccessStats
 from repro.obs.events import EventKind, EventTrace
-from repro.obs.spans import SpanTimeline, chrome_track_name
+from repro.obs.spans import SpanTimeline
+from repro.obs.tracectx import chrome_track_name
 from repro.units import ELEMENT_BYTES
 
 #: Slice names per event kind (short, so Perfetto labels stay readable).
@@ -115,7 +116,14 @@ def write_chrome_trace(
     metadata: dict | None = None,
 ) -> None:
     """Serialize :func:`chrome_trace` to a path or open text file."""
-    doc = chrome_trace(events, spans=spans, metadata=metadata)
+    write_json_document(
+        chrome_trace(events, spans=spans, metadata=metadata), target
+    )
+
+
+def write_json_document(doc: dict, target: str | IO[str]) -> None:
+    """Dump ``doc`` as JSON to a path or an open text file (the one
+    writer behind every Chrome trace export)."""
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8") as handle:
             json.dump(doc, handle)

@@ -54,24 +54,16 @@ def observe_latency(
 def quantile_from_snapshot(entry: Mapping[str, object], q: float) -> float:
     """The ``q``-quantile of a histogram ``as_dict()`` snapshot.
 
-    Mirrors :meth:`repro.obs.metrics.Histogram.quantile` (bucket upper
-    bound, observed max for the overflow bucket) but runs on the plain
-    dict so remote snapshots need no instrument reconstruction.
+    Runs the one bucket walk, :meth:`repro.obs.metrics.Histogram.quantile`,
+    on a histogram rebuilt from the plain dict.
     """
-    count = int(entry["count"])  # type: ignore[arg-type]
-    if not count:
-        return 0.0
-    bounds = list(entry["bounds"])  # type: ignore[call-overload]
-    counts = list(entry["counts"])  # type: ignore[call-overload]
-    rank = q * count
-    seen = 0
-    for index, bucket_count in enumerate(counts):
-        seen += bucket_count
-        if seen >= rank and bucket_count:
-            if index < len(bounds):
-                return float(bounds[index])
-            return float(entry["max"])  # type: ignore[arg-type]
-    return float(entry["max"])  # type: ignore[arg-type]
+    return Histogram(
+        "",
+        tuple(entry["bounds"]),  # type: ignore[call-overload]
+        counts=list(entry["counts"]),  # type: ignore[call-overload]
+        count=int(entry["count"]),  # type: ignore[call-overload]
+        max_value=float(entry["max"]),  # type: ignore[arg-type]
+    ).quantile(q)
 
 
 def latency_summary(entry: Mapping[str, object]) -> dict:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, TypeVar
 from urllib.parse import parse_qs, urlsplit
@@ -333,12 +334,43 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     """Handler plumbing shared by the embedded servers.
 
     JSON and raw responses, a read timeout of :data:`READ_TIMEOUT_S`,
-    and ``http.server`` chatter routed into the owner's structured
-    logger.  Subclasses add the routes (``do_GET`` / ``do_POST``).
+    dispatch through the :attr:`routes` table, and ``http.server``
+    chatter routed into the owner's structured logger.  Subclasses fill
+    in :attr:`routes`.
     """
 
     #: Set by :class:`EmbeddedHTTPServer` on the server object.
     server: Any
+
+    #: ``(method, path) -> route(handler, query_string)``.  Any other
+    #: request gets a 404 whose ``endpoints`` list is this table, in
+    #: order (``"/path"`` for GET, ``"METHOD /path"`` otherwise).
+    routes: dict[tuple[str, str], Callable[[Any, str], None]] = {}
+
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        """Answer a GET through :attr:`routes`."""
+        self._dispatch("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        """Answer a POST through :attr:`routes`."""
+        self._dispatch("POST")
+
+    def _dispatch(self, method: str) -> None:
+        split = urlsplit(self.path)
+        route = self.routes.get((method, split.path))
+        if route is not None:
+            route(self, split.query)
+            return
+        self._send_json(
+            {
+                "error": f"unknown path {split.path!r}",
+                "endpoints": [
+                    path if verb == "GET" else f"{verb} {path}"
+                    for verb, path in self.routes
+                ],
+            },
+            code=404,
+        )
 
     def setup(self) -> None:
         """Arm the read timeout (read per connection, so the module
@@ -471,41 +503,38 @@ class _MonitorHandler(JsonRequestHandler):
 
     server_version = "repro-monitor/1"
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        split = urlsplit(self.path)
-        monitor: SweepMonitor = self.server.owner
-        if split.path == "/status":
-            self._send_json(monitor.status.snapshot())
-        elif split.path == "/metrics":
-            text = render_openmetrics(monitor.status.metrics_snapshot())
-            self._send(200, OPENMETRICS_CONTENT_TYPE, text.encode("utf-8"))
-        elif split.path == "/logs":
-            query = parse_qs(split.query)
-            try:
-                n = int(query.get("n", [str(DEFAULT_LOG_TAIL)])[0])
-            except ValueError:
-                self._send_json(
-                    {"error": "query parameter n must be an integer"},
-                    code=400,
-                )
-                return
-            records = monitor.ring.tail(n)
+    def _status(self, query: str) -> None:
+        self._send_json(self.server.owner.status.snapshot())
+
+    def _metrics(self, query: str) -> None:
+        text = render_openmetrics(self.server.owner.status.metrics_snapshot())
+        self._send(200, OPENMETRICS_CONTENT_TYPE, text.encode("utf-8"))
+
+    def _logs(self, query: str) -> None:
+        ring = self.server.owner.ring
+        try:
+            n = int(parse_qs(query).get("n", [str(DEFAULT_LOG_TAIL)])[0])
+        except ValueError:
             self._send_json(
-                {
-                    "schema": "repro-logs-tail/v1",
-                    "count": len(records),
-                    "dropped": monitor.ring.dropped,
-                    "records": [record.as_dict() for record in records],
-                }
+                {"error": "query parameter n must be an integer"},
+                code=400,
             )
-        else:
-            self._send_json(
-                {
-                    "error": f"unknown path {split.path!r}",
-                    "endpoints": ["/status", "/metrics", "/logs"],
-                },
-                code=404,
-            )
+            return
+        records = ring.tail(n)
+        self._send_json(
+            {
+                "schema": "repro-logs-tail/v1",
+                "count": len(records),
+                "dropped": ring.dropped,
+                "records": [record.as_dict() for record in records],
+            }
+        )
+
+    routes = {
+        ("GET", "/status"): _status,
+        ("GET", "/metrics"): _metrics,
+        ("GET", "/logs"): _logs,
+    }
 
 
 class SweepMonitor(EmbeddedHTTPServer):

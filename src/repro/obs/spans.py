@@ -2,8 +2,8 @@
 
 Where :mod:`repro.obs.events` traces *simulated* time inside the memory
 device, spans trace *host* time spent in the modelling code itself --
-trace generation, engine runs, planner scoring, FFT phases -- as a
-nested timeline::
+trace generation, engine runs, planner scoring, FFT phases, sweep
+workers -- as a nested timeline::
 
     timeline = SpanTimeline()
     with timeline.span("fft2d", n=2048):
@@ -13,6 +13,12 @@ nested timeline::
             ...
     print(timeline.render())
 
+:class:`SpanTimeline` is the one nesting span recorder.  It writes the
+one span type, :class:`~repro.obs.tracectx.SpanRecord`, under the
+:class:`~repro.obs.tracectx.TraceContext` it is built on -- a worker
+attempt's, a sweep run's, or :data:`HOST_ROOT` for a bare host
+timeline -- so every span it records is a node of the one trace model.
+
 The instrumented entry points (:mod:`repro.core.simulate`,
 :class:`repro.fft.fft2d.FFT2D`, :class:`repro.framework.planner.LayoutPlanner`)
 accept an optional timeline; passing None keeps them span-free with no
@@ -21,93 +27,77 @@ overhead beyond a single ``is None`` test (:func:`span_or_null`).
 
 from __future__ import annotations
 
+import itertools
 import time
-from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
 from collections.abc import Iterator
-from typing import TYPE_CHECKING, Any
+from contextlib import contextmanager, nullcontext
+from dataclasses import replace
+from typing import Any
 
-from repro.errors import ReproError
+from repro.obs.tracectx import SpanRecord, TraceContext, chrome_slice, json_safe
 
-if TYPE_CHECKING:
-    from repro.obs.tracectx import SpanRecord
-
-
-class SpanError(ReproError):
-    """Invalid span nesting or use."""
-
-
-@dataclass
-class Span:
-    """One completed (or still-open) timeline region.
-
-    Attributes:
-        name: human-readable region label.
-        start_s: ``perf_counter`` timestamp at entry.
-        end_s: ``perf_counter`` timestamp at exit (None while open).
-        depth: nesting depth (0 for roots).
-        parent: index of the enclosing span in the timeline, or -1.
-        meta: free-form key/value annotations (problem size, layout, ...).
-    """
-
-    name: str
-    start_s: float
-    end_s: float | None = None
-    depth: int = 0
-    parent: int = -1
-    meta: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration_s(self) -> float:
-        """Elapsed seconds (0 while the span is still open)."""
-        if self.end_s is None:
-            return 0.0
-        return self.end_s - self.start_s
+#: The context a timeline built without one records under.
+HOST_ROOT = TraceContext.root("host")
 
 
 class SpanTimeline:
-    """An ordered collection of nested spans with rendering helpers."""
+    """Nested spans recorded as :class:`SpanRecord` s under one context.
 
-    def __init__(self) -> None:
-        self.spans: list[Span] = []
-        self._stack: list[int] = []
+    The ``i``-th span opened gets the id of ``context.child("wspan", i)``
+    and, as parent, the innermost open span or the context itself.
+    :attr:`spans` holds the records in start order; a span still open
+    has ``duration_s == 0``.  Depth and roots are derived from the
+    parent ids.
+    """
+
+    def __init__(self, context: TraceContext | None = None) -> None:
+        #: The context root spans hang from.
+        self.context = HOST_ROOT if context is None else context
+        self.spans: list[SpanRecord] = []
+        self._open: list[str] = []
+        self._ids = itertools.count()
 
     # ------------------------------------------------------------- recording
     @contextmanager
-    def span(self, name: str, **meta: Any) -> Iterator[Span]:
-        """Context manager timing one region; nests under any open span."""
-        index = len(self.spans)
-        record = Span(
-            name=name,
-            start_s=time.perf_counter(),
-            depth=len(self._stack),
-            parent=self._stack[-1] if self._stack else -1,
-            meta=meta,
+    def span(self, name: str, **meta: Any) -> Iterator[TraceContext]:
+        """Time one region as a span nested under any open one."""
+        context = replace(
+            self.context.child("wspan", next(self._ids)),
+            parent_id=self._open[-1] if self._open else self.context.span_id,
         )
-        self.spans.append(record)
-        self._stack.append(index)
+        pairs = tuple(sorted((k, json_safe(v)) for k, v in meta.items()))
+        index = len(self.spans)
+        start_s = time.perf_counter()
+        self.spans.append(SpanRecord(context, name, start_s, 0.0, pairs))
+        self._open.append(context.span_id)
         try:
-            yield record
+            yield context
         finally:
-            record.end_s = time.perf_counter()
-            self._stack.pop()
+            self._open.pop()
+            self.spans[index] = SpanRecord(
+                context, name, start_s, time.perf_counter() - start_s, pairs
+            )
 
     # ----------------------------------------------------------------- views
     def __len__(self) -> int:
         return len(self.spans)
 
-    def roots(self) -> list[Span]:
-        """Top-level spans (depth 0), in start order."""
-        return [span for span in self.spans if span.depth == 0]
-
-    def children_of(self, span: Span) -> list[Span]:
-        """Direct children of a span, in start order."""
-        index = self.spans.index(span)
-        return [child for child in self.spans if child.parent == index]
+    def _depths(self) -> list[int]:
+        """Nesting depth of each record (0 for roots), from parent ids."""
+        depth_of: dict[str | None, int] = {}
+        for record in self.spans:
+            depth_of[record.context.span_id] = (
+                depth_of.get(record.context.parent_id, -1) + 1
+            )
+        return [depth_of[record.context.span_id] for record in self.spans]
 
     def total_s(self) -> float:
         """Summed duration of the root spans."""
-        return sum(span.duration_s for span in self.roots())
+        return sum(
+            record.duration_s
+            for record, depth in zip(self.spans, self._depths(), strict=True)
+            if depth == 0
+        )
 
     def render(self) -> str:
         """Indented text timeline with per-span durations and shares."""
@@ -115,16 +105,14 @@ class SpanTimeline:
             return "(no spans recorded)"
         total = self.total_s() or 1.0
         lines = []
-        for span in self.spans:
+        for record, depth in zip(self.spans, self._depths(), strict=True):
             meta = ""
-            if span.meta:
-                meta = " [" + ", ".join(
-                    f"{k}={v}" for k, v in span.meta.items()
-                ) + "]"
+            if record.meta:
+                meta = " [" + ", ".join(f"{k}={v}" for k, v in record.meta) + "]"
             lines.append(
-                f"{'  ' * span.depth}{span.name:<{32 - 2 * span.depth}} "
-                f"{span.duration_s * 1e3:9.2f} ms "
-                f"({100 * span.duration_s / total:5.1f}%)"
+                f"{'  ' * depth}{record.name:<{32 - 2 * depth}} "
+                f"{record.duration_s * 1e3:9.2f} ms "
+                f"({100 * record.duration_s / total:5.1f}%)"
                 f"{meta}"
             )
         return "\n".join(lines)
@@ -142,58 +130,18 @@ class SpanTimeline:
         origin = (
             clock_offset_s
             if clock_offset_s is not None
-            else min(span.start_s for span in self.spans)
+            else min(record.start_s for record in self.spans)
         )
         return [
             chrome_slice(
-                span,
+                record,
                 pid=pid,
                 tid=tid,
                 origin_s=origin,
-                args={k: str(v) for k, v in span.meta.items()} or None,
+                args={k: str(v) for k, v in record.meta} or None,
             )
-            for span in self.spans
+            for record in self.spans
         ]
-
-
-def chrome_slice(
-    span: Span | SpanRecord,
-    pid: int,
-    tid: int = 0,
-    origin_s: float = 0.0,
-    args: dict[str, Any] | None = None,
-) -> dict:
-    """One span as a Chrome ``trace_event`` complete slice (``ph: "X"``).
-
-    The single slice builder behind every span exporter (host-phase
-    timelines, merged sweep runs, serve request trees).  Timestamps are
-    microseconds relative to ``origin_s``; ``args`` is attached only
-    when non-empty.
-    """
-    event: dict[str, Any] = {
-        "name": span.name,
-        "cat": "span",
-        "ph": "X",
-        "pid": pid,
-        "tid": tid,
-        "ts": (span.start_s - origin_s) * 1e6,
-        "dur": span.duration_s * 1e6,
-    }
-    if args:
-        event["args"] = args
-    return event
-
-
-def chrome_track_name(pid: int, name: str, tid: int | None = None) -> dict:
-    """A Chrome metadata event naming a process (or, with ``tid``, one
-    of its threads) in the viewer's track list."""
-    return {
-        "name": "process_name" if tid is None else "thread_name",
-        "ph": "M",
-        "pid": pid,
-        "tid": 0 if tid is None else tid,
-        "args": {"name": name},
-    }
 
 
 def span_or_null(timeline: SpanTimeline | None, name: str, **meta: Any):

@@ -7,6 +7,9 @@ home on the one trace model of :mod:`repro.obs.tracectx`:
 * :func:`task_telemetry` -- the one member a worker task carries: the
   W3C :class:`~repro.obs.tracectx.TraceContext` of the work (a sweep
   point, or the serve request that owns it) plus the run id;
+* :class:`TelemetryRecorder` -- what both sides record alike: spans on
+  a :class:`~repro.obs.spans.SpanTimeline` built on their own context
+  (attempt or run) and run-telemetry events;
 * :class:`WorkerTelemetry` -- what a worker records about one attempt
   (:class:`~repro.obs.tracectx.SpanRecord` spans under the attempt's
   context, run-telemetry events, a
@@ -16,9 +19,10 @@ home on the one trace model of :mod:`repro.obs.tracectx`:
   shipped back with the result;
 * :func:`align_worker_payload` -- the one fold: a payload's spans,
   events and logs shifted into the parent's monotonic clock domain;
-* :class:`RunTelemetry` -- the sweep's parent-side merge: queue waits
-  are derived from dispatch-vs-start timestamps, and the whole run
-  exports as ONE Chrome ``trace_event`` JSON -- runner spans, per-point
+* :class:`RunTelemetry` -- the sweep's parent-side merge: its own
+  runner spans on a timeline under the run's context, queue waits
+  derived from dispatch-vs-start timestamps, and the whole run
+  exported as ONE Chrome ``trace_event`` JSON -- runner spans, per-point
   lifecycle tracks (queue wait, retries, cache hits) and one process
   per worker.
 
@@ -29,12 +33,8 @@ here (``repro.obs`` is the DET001-exempt zone); telemetry is run
 
 from __future__ import annotations
 
-import itertools
-import json
 import os
 import time
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import IO, Any
 
@@ -45,7 +45,8 @@ from repro.obs.events import (
     EventKind,
     registered_event_names,
 )
-from repro.obs.export import event_slice_name
+from repro.obs.export import event_slice_name, write_json_document
+from repro.obs.histogram import QUEUE_WAIT_BOUNDS
 from repro.obs.logging import (
     DEBUG,
     ListSink,
@@ -55,8 +56,15 @@ from repro.obs.logging import (
     global_pipeline,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanTimeline, chrome_slice, chrome_track_name
-from repro.obs.tracectx import SpanRecord, TraceContext, TraceError
+from repro.obs.spans import SpanTimeline
+from repro.obs.tracectx import (
+    SpanRecord,
+    TraceContext,
+    TraceError,
+    chrome_slice,
+    chrome_track_name,
+    json_safe,
+)
 
 #: Schema tag stamped into every serialized worker payload (v2: the
 #: attempt's W3C trace context and tree-linked span records).
@@ -87,9 +95,6 @@ POINTS_PID = 1
 
 #: First chrome pid assigned to worker processes (then sequential).
 WORKER_PID_BASE = 100
-
-#: Bucket bounds for the queue-wait histogram (seconds).
-_QUEUE_WAIT_BOUNDS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0)
 
 
 class TelemetryError(ReproError):
@@ -175,12 +180,6 @@ class TelemetryEvent:
         )
 
 
-def _json_safe(value: Any) -> Any:
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    return str(value)
-
-
 def task_telemetry(run_id: str, context: TraceContext) -> dict[str, Any]:
     """The one telemetry member a worker task carries (``task["telemetry"]``).
 
@@ -192,8 +191,40 @@ def task_telemetry(run_id: str, context: TraceContext) -> dict[str, Any]:
     return {"run_id": run_id, "context": context.as_dict()}
 
 
+# ---------------------------------------------------------------- recording
+class TelemetryRecorder:
+    """What worker and run telemetry record alike: spans on a
+    :class:`~repro.obs.spans.SpanTimeline` and telemetry events, both on
+    this process's monotonic clock."""
+
+    timeline: SpanTimeline
+    events: list[TelemetryEvent]
+
+    def now(self) -> float:
+        """This process's monotonic clock (``perf_counter`` seconds)."""
+        return time.perf_counter()
+
+    def span(self, name: str, **meta: Any):
+        """Time one region on :attr:`timeline` (context manager)."""
+        return self.timeline.span(name, **meta)
+
+    def record_event(
+        self, kind: int, dur_s: float = 0.0, ts_s: float | None = None,
+        **meta: Any,
+    ) -> TelemetryEvent:
+        """Record one run-telemetry event (timestamped now by default)."""
+        event = TelemetryEvent(
+            kind=int(kind),
+            ts_s=self.now() if ts_s is None else ts_s,
+            dur_s=dur_s,
+            meta={k: json_safe(v) for k, v in meta.items()},
+        )
+        self.events.append(event)
+        return event
+
+
 # ------------------------------------------------------------ worker telemetry
-class WorkerTelemetry:
+class WorkerTelemetry(TelemetryRecorder):
     """What one worker records about one grid-point attempt.
 
     Created at task pickup (:meth:`for_task` derives the attempt's trace
@@ -202,9 +233,9 @@ class WorkerTelemetry:
     metrics, log records), and shipped back to the parent as the
     JSON-native :meth:`as_dict` payload riding on the task outcome.
 
-    Spans are :class:`~repro.obs.tracectx.SpanRecord` s whose ids derive
-    from the attempt's :attr:`context`, so a folded worker span is
-    already a node of the sweep's or the request's span tree.
+    Spans are recorded on a :class:`~repro.obs.spans.SpanTimeline` built
+    on the attempt's :attr:`context`, so a folded worker span is already
+    a node of the sweep's or the request's span tree.
     """
 
     def __init__(
@@ -223,7 +254,7 @@ class WorkerTelemetry:
         self.attempt = attempt
         self.worker_id = os.getpid() if worker_id is None else worker_id
         self.anchor = anchor or ClockAnchor.now()
-        self.spans: list[SpanRecord] = []
+        self.timeline = SpanTimeline(context)
         self.registry = MetricsRegistry()
         self.events: list[TelemetryEvent] = []
         #: Structured log records captured by :meth:`logger`, shipped
@@ -231,8 +262,6 @@ class WorkerTelemetry:
         self.logs: list[LogRecord] = []
         self._log_pipeline = LogPipeline(level=DEBUG)
         self._log_pipeline.sinks = [ListSink(self.logs)]
-        self._open: list[TraceContext] = []
-        self._span_ids = itertools.count()
 
     @classmethod
     def for_task(cls, task: dict[str, Any]) -> "WorkerTelemetry | None":
@@ -258,41 +287,14 @@ class WorkerTelemetry:
         )
         return telemetry
 
-    def now(self) -> float:
-        """This process's monotonic clock (``perf_counter`` seconds)."""
-        return time.perf_counter()
+    @property
+    def spans(self) -> list[SpanRecord]:
+        """The attempt's spans in start order (:attr:`timeline`'s)."""
+        return self.timeline.spans
 
-    @contextmanager
-    def span(self, name: str, **meta: Any) -> Iterator[None]:
-        """Time one region as a span nested under any open one.
-
-        Span ids derive from the attempt context in opening order;
-        roots are children of the attempt context itself.
-        """
-        parent = self._open[-1] if self._open else self.context
-        derived = self.context.child("wspan", next(self._span_ids))
-        context = TraceContext(
-            trace_id=derived.trace_id,
-            span_id=derived.span_id,
-            parent_id=parent.span_id,
-        )
-        self._open.append(context)
-        start_s = self.now()
-        try:
-            yield
-        finally:
-            self._open.pop()
-            self.spans.append(
-                SpanRecord(
-                    context=context,
-                    name=name,
-                    start_s=start_s,
-                    duration_s=self.now() - start_s,
-                    meta=tuple(
-                        sorted((k, _json_safe(v)) for k, v in meta.items())
-                    ),
-                )
-            )
+    @spans.setter
+    def spans(self, records: list[SpanRecord]) -> None:
+        self.timeline.spans = records
 
     def logger(self, name: str = "repro.sweep.worker") -> StructuredLogger:
         """A logger whose records are captured into :attr:`logs`.
@@ -311,20 +313,6 @@ class WorkerTelemetry:
             "trace_id": self.context.trace_id,
         }
         return StructuredLogger(name, context, self._log_pipeline)
-
-    def record_event(
-        self, kind: int, dur_s: float = 0.0, ts_s: float | None = None,
-        **meta: Any,
-    ) -> TelemetryEvent:
-        """Record one run-telemetry event (timestamped now by default)."""
-        event = TelemetryEvent(
-            kind=int(kind),
-            ts_s=self.now() if ts_s is None else ts_s,
-            dur_s=dur_s,
-            meta={k: _json_safe(v) for k, v in meta.items()},
-        )
-        self.events.append(event)
-        return event
 
     def as_dict(self) -> dict[str, Any]:
         """The JSON-native payload shipped back with the task outcome."""
@@ -408,7 +396,7 @@ def align_worker_payload(
 
 
 # --------------------------------------------------------------- run telemetry
-class RunTelemetry:
+class RunTelemetry(TelemetryRecorder):
     """The parent-side merge of a whole run's telemetry.
 
     Collects the runner's own spans and events, dispatch timestamps per
@@ -423,7 +411,7 @@ class RunTelemetry:
         #: Root of the run's trace; each point is a child of it.
         self.context = TraceContext.root(run_id)
         self.anchor = ClockAnchor.now()
-        self.timeline = SpanTimeline()
+        self.timeline = SpanTimeline(self.context)
         self.registry = MetricsRegistry()
         self.events: list[TelemetryEvent] = []
         #: Worker payloads aligned into the parent clock domain, in
@@ -437,31 +425,9 @@ class RunTelemetry:
         return cls(run_id)
 
     # ------------------------------------------------------------- recording
-    def now(self) -> float:
-        """The parent's monotonic clock (``perf_counter`` seconds)."""
-        return time.perf_counter()
-
-    def span(self, name: str, **meta: Any):
-        """A parent-side timeline span (context manager)."""
-        return self.timeline.span(name, **meta)
-
     def mark_submit(self, point_id: int) -> None:
         """Record the dispatch instant of one point (queue-wait origin)."""
         self._submits[point_id] = self.now()
-
-    def record_event(
-        self, kind: int, dur_s: float = 0.0, ts_s: float | None = None,
-        **meta: Any,
-    ) -> TelemetryEvent:
-        """Record one parent-side run-telemetry event."""
-        event = TelemetryEvent(
-            kind=int(kind),
-            ts_s=self.now() if ts_s is None else ts_s,
-            dur_s=dur_s,
-            meta={k: _json_safe(v) for k, v in meta.items()},
-        )
-        self.events.append(event)
-        return event
 
     def context_for(self, point_id: int) -> TraceContext:
         """The trace context of one grid point (a child of the run's)."""
@@ -503,7 +469,7 @@ class RunTelemetry:
             )
             self.registry.histogram(
                 "telemetry.queue_wait_s",
-                _QUEUE_WAIT_BOUNDS,
+                QUEUE_WAIT_BOUNDS,
                 help="dispatch-to-worker-start wait per point (seconds)",
             ).observe(wait)
         return telemetry
@@ -559,7 +525,7 @@ class RunTelemetry:
                 "pid": pid,
                 "tid": tid,
                 "ts": (event.ts_s - origin) * 1e6,
-                "args": {k: _json_safe(v) for k, v in event.meta.items()},
+                "args": {k: json_safe(v) for k, v in event.meta.items()},
             }
             if event.dur_s > 0:
                 entry.update(ph="X", dur=event.dur_s * 1e6)
@@ -620,9 +586,4 @@ class RunTelemetry:
         self, target: str | IO[str], metadata: dict | None = None
     ) -> None:
         """Serialize :meth:`chrome_trace` to a path or open text file."""
-        doc = self.chrome_trace(metadata=metadata)
-        if isinstance(target, str):
-            with open(target, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle)
-        else:
-            json.dump(doc, target)
+        write_json_document(self.chrome_trace(metadata=metadata), target)

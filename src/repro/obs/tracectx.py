@@ -13,12 +13,13 @@ The wire format follows the W3C ``traceparent`` header
 
     00-<32 hex trace_id>-<16 hex span_id>-01
 
-:class:`SpanRecord` is one finished span of such a tree; worker payloads
-(:mod:`repro.obs.telemetry`) carry their spans in this form.
-:class:`RequestTracer` collects finished spans per trace into a bounded
-ring (always-on tracing must not leak memory) and exports any tree in
-the Chrome/Perfetto ``traceEvents`` format, with the same slice builder
-as the sweep traces (:func:`repro.obs.spans.chrome_slice`).
+:class:`SpanRecord` is the one span type: every recorder writes it --
+the nesting :class:`~repro.obs.spans.SpanTimeline` behind host phases,
+sweep runs and worker payloads (:mod:`repro.obs.telemetry`), and
+:class:`RequestTracer`, which collects finished spans per trace into a
+bounded ring (always-on tracing must not leak memory).  Every exporter
+turns records into Chrome/Perfetto ``traceEvents`` with the one slice
+builder here (:func:`chrome_slice`, :func:`chrome_track_name`).
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from hashlib import sha256
+from typing import Any
 
 from repro.errors import ReproError
-from repro.obs.spans import chrome_slice, chrome_track_name
 
 TRACEPARENT_SCHEMA = "repro-traceparent/v1"
 TRACEPARENT_KEYS = frozenset({"schema", "trace_id", "span_id", "parent_id"})
@@ -127,7 +128,7 @@ def parse_traceparent(header: str) -> TraceContext:
 
 @dataclass(frozen=True)
 class SpanRecord:
-    """One finished span: timing plus its place in the tree."""
+    """One span: timing plus its place in the tree (the one span type)."""
 
     context: TraceContext
     name: str
@@ -163,6 +164,53 @@ class SpanRecord:
             duration_s=float(data["duration_s"]),
             meta=tuple(sorted(dict(data.get("meta", {})).items())),
         )
+
+
+def json_safe(value: Any) -> Any:
+    """``value`` if it is a JSON scalar, else its ``str`` form."""
+    if isinstance(value, (bool, int, float, str)) or value is None:
+        return value
+    return str(value)
+
+
+def chrome_slice(
+    record: SpanRecord,
+    pid: int,
+    tid: int = 0,
+    origin_s: float = 0.0,
+    args: dict[str, Any] | None = None,
+) -> dict:
+    """One span as a Chrome ``trace_event`` complete slice (``ph: "X"``).
+
+    The single slice builder behind every span exporter (host-phase
+    timelines, merged sweep runs, serve request trees).  Timestamps are
+    microseconds relative to ``origin_s``; ``args`` is attached only
+    when non-empty.
+    """
+    event: dict[str, Any] = {
+        "name": record.name,
+        "cat": "span",
+        "ph": "X",
+        "pid": pid,
+        "tid": tid,
+        "ts": (record.start_s - origin_s) * 1e6,
+        "dur": record.duration_s * 1e6,
+    }
+    if args:
+        event["args"] = args
+    return event
+
+
+def chrome_track_name(pid: int, name: str, tid: int | None = None) -> dict:
+    """A Chrome metadata event naming a process (or, with ``tid``, one
+    of its threads) in the viewer's track list."""
+    return {
+        "name": "process_name" if tid is None else "thread_name",
+        "ph": "M",
+        "pid": pid,
+        "tid": 0 if tid is None else tid,
+        "args": {"name": name},
+    }
 
 
 @dataclass(frozen=True)

@@ -59,53 +59,34 @@ class _ServeHandler(JsonRequestHandler):
     def _service(self) -> PlanService:
         return self.server.owner.service
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/healthz":
-            self._send_json({"ok": True})
-        elif self.path == "/readyz":
-            ready = self._service.ready()
+    def _healthz(self, query: str) -> None:
+        self._send_json({"ok": True})
+
+    def _readyz(self, query: str) -> None:
+        ready = self._service.ready()
+        self._send_json({"ready": ready}, code=200 if ready else 503)
+
+    def _status(self, query: str) -> None:
+        self._send_json(self._service.status_snapshot())
+
+    def _metrics(self, query: str) -> None:
+        text = render_openmetrics(self._service.metrics_snapshot())
+        self._send(200, OPENMETRICS_CONTENT_TYPE, text.encode("utf-8"))
+
+    def _bundle(self, query: str) -> None:
+        recorder = self._service.recorder
+        if recorder is None:
             self._send_json(
-                {"ready": ready}, code=200 if ready else 503
-            )
-        elif self.path == "/status":
-            self._send_json(self._service.status_snapshot())
-        elif self.path == "/metrics":
-            text = render_openmetrics(self._service.metrics_snapshot())
-            self._send(200, OPENMETRICS_CONTENT_TYPE, text.encode("utf-8"))
-        elif self.path == "/debug/bundle":
-            recorder = self._service.recorder
-            if recorder is None:
-                self._send_json(
-                    error_envelope(
-                        "no-recorder",
-                        "service is running without a flight recorder",
-                    ),
-                    code=404,
-                )
-            else:
-                self._send_json(recorder.capture("on-demand"))
-        else:
-            self._send_json(
-                {
-                    "error": f"unknown path {self.path!r}",
-                    "endpoints": [
-                        "/healthz",
-                        "/readyz",
-                        "/status",
-                        "/metrics",
-                        "/debug/bundle",
-                        "POST /plan",
-                    ],
-                },
+                error_envelope(
+                    "no-recorder",
+                    "service is running without a flight recorder",
+                ),
                 code=404,
             )
+        else:
+            self._send_json(recorder.capture("on-demand"))
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path != "/plan":
-            self._send_json(
-                {"error": f"unknown path {self.path!r}"}, code=404
-            )
-            return
+    def _plan(self, query: str) -> None:
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
@@ -136,6 +117,15 @@ class _ServeHandler(JsonRequestHandler):
             )
             return
         self._send_json(payload, code=code, headers=headers)
+
+    routes = {
+        ("GET", "/healthz"): _healthz,
+        ("GET", "/readyz"): _readyz,
+        ("GET", "/status"): _status,
+        ("GET", "/metrics"): _metrics,
+        ("GET", "/debug/bundle"): _bundle,
+        ("POST", "/plan"): _plan,
+    }
 
 
 class PlanServer(EmbeddedHTTPServer):

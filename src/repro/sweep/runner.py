@@ -39,7 +39,7 @@ from repro.obs.events import EV_CACHE_HIT, EV_RETRY, EV_WORKER_END
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import SweepStatus
-from repro.obs.spans import span_or_null
+from repro.obs.spans import SpanTimeline, span_or_null
 from repro.obs.telemetry import RunTelemetry, WorkerTelemetry, task_telemetry
 from repro.serialization import system_from_dict, system_to_dict, system_with_overrides
 from repro.sweep.cache import CACHE_VERSION, ResultCache
@@ -102,6 +102,7 @@ def point_result(
     config: SystemConfig,
     max_requests: int,
     engine: str = "vector",
+    spans: SpanTimeline | None = None,
 ) -> dict[str, Any]:
     """Simulate one sweep point and package the result as a plain dict.
 
@@ -110,7 +111,8 @@ def point_result(
     indistinguishable from a fresh one.  ``engine`` picks the timing
     engine; the two are stat-for-stat equivalent (CI's
     ``engine-equivalence`` gate), so it changes wall-clock only, never
-    the result dict.
+    the result dict.  ``spans`` records the column phase's engine spans
+    (:func:`~repro.core.simulate.simulate_column_phase`).
     """
     run = simulate_column_phase(
         config,
@@ -119,6 +121,7 @@ def point_result(
         height=point.height,
         whole_blocks=point.whole_blocks,
         max_requests=max_requests,
+        spans=spans,
         engine=engine,
     )
     metrics = run.metrics
@@ -178,9 +181,11 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
 
     When the task carries a ``telemetry`` member (see
     :func:`~repro.obs.telemetry.task_telemetry`) the worker records
-    spans under the attempt's trace context and ships the serialized
-    :class:`~repro.obs.telemetry.WorkerTelemetry` payload back on the
-    outcome; without it the body is exactly the pre-telemetry code path.
+    spans under the attempt's trace context -- ``point > simulate`` and,
+    below them, the engine phases of
+    :func:`~repro.core.simulate.simulate_column_phase` -- and ships the
+    serialized :class:`~repro.obs.telemetry.WorkerTelemetry` payload
+    back on the outcome; without it every span is a no-op.
     """
     chaos = task.get("chaos")
     if chaos:
@@ -190,20 +195,20 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
     point = SweepPoint(**task["point"])
     registry = MetricsRegistry()
     engine = task.get("engine", "vector")
-    if worker_tel is not None:
-        with worker_tel.span(
-            "point",
-            n=point.n,
-            layout=point.layout,
-            config=point.config_label,
-            attempt=worker_tel.attempt,
-        ):
-            with worker_tel.span("simulate"):
-                result = point_result(
-                    point, config, task["max_requests"], engine=engine
-                )
-    else:
-        result = point_result(point, config, task["max_requests"], engine=engine)
+    timeline = worker_tel.timeline if worker_tel is not None else None
+    with span_or_null(
+        timeline,
+        "point",
+        n=point.n,
+        layout=point.layout,
+        config=point.config_label,
+        attempt=int(task.get("attempt", 1)),
+    ):
+        with span_or_null(timeline, "simulate"):
+            result = point_result(
+                point, config, task["max_requests"], engine=engine,
+                spans=timeline,
+            )
     _record_point_metrics(registry, result)
     outcome = {
         "index": task["index"],

@@ -1,14 +1,16 @@
 """Hierarchical host-time spans."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
 from repro.core.simulate import simulate_baseline_column_phase
 from repro.fft import FFT2D
 from repro.framework import LayoutPlanner, fft2d_spec
 from repro.memory3d import pact15_hmc_config
-from repro.obs import SpanTimeline
-from repro.obs.spans import span_or_null
+from repro.obs import SpanTimeline, TraceContext
+from repro.obs.spans import HOST_ROOT, span_or_null
 
 import numpy as np
 
@@ -20,9 +22,8 @@ class TestSpanTimeline:
             with timeline.span("inner"):
                 pass
         outer, inner = timeline.spans
-        assert outer.depth == 0 and outer.parent == -1
-        assert inner.depth == 1 and inner.parent == 0
-        assert timeline.children_of(outer) == [inner]
+        assert outer.context.parent_id == timeline.context.span_id
+        assert inner.context.parent_id == outer.context.span_id
 
     def test_durations_are_positive_and_nested(self):
         timeline = SpanTimeline()
@@ -37,7 +38,7 @@ class TestSpanTimeline:
         timeline = SpanTimeline()
         with timeline.span("run", n=2048, layout="ddl"):
             pass
-        assert timeline.spans[0].meta == {"n": 2048, "layout": "ddl"}
+        assert dict(timeline.spans[0].meta) == {"n": 2048, "layout": "ddl"}
 
     def test_sequential_roots(self):
         timeline = SpanTimeline()
@@ -45,7 +46,10 @@ class TestSpanTimeline:
             pass
         with timeline.span("b"):
             pass
-        assert [span.name for span in timeline.roots()] == ["a", "b"]
+        assert [span.name for span in timeline.spans] == ["a", "b"]
+        assert {span.context.parent_id for span in timeline.spans} == {
+            timeline.context.span_id
+        }
 
     def test_render_contains_names_and_meta(self):
         timeline = SpanTimeline()
@@ -93,7 +97,7 @@ class TestInstrumentedEntryPoints:
         )
         names = [span.name for span in spans.spans]
         assert names == ["column-phase/baseline", "generate-trace", "simulate"]
-        assert spans.spans[1].parent == 0
+        assert spans.spans[1].context.parent_id == spans.spans[0].context.span_id
 
     def test_fft2d_records_row_and_column_phases(self):
         spans = SpanTimeline()
@@ -114,7 +118,103 @@ class TestInstrumentedEntryPoints:
         assert any(name.startswith("matrix/") for name in names)
         assert any(name.startswith("score/") for name in names)
 
+    def test_sweep_worker_trace_reaches_the_engine_phases(self):
+        from repro.sweep import SweepGrid, run_sweep
+
+        swept = run_sweep(
+            SweepGrid(sizes=(256,), layouts=("ddl",)),
+            max_requests=4096,
+            telemetry=True,
+        )
+        [worker] = swept.telemetry.workers
+        payload = worker.as_dict()
+        by_id = {span["span_id"]: span for span in payload["spans"]}
+        assert [span["name"] for span in payload["spans"]] == [
+            "point", "simulate", "column-phase/ddl", "generate-trace",
+            "simulate",
+        ]
+        parent_names = {
+            span["name"]: by_id[span["parent_id"]]["name"]
+            for span in payload["spans"][1:4]
+        }
+        assert parent_names == {
+            "simulate": "point",
+            "column-phase/ddl": "simulate",
+            "generate-trace": "column-phase/ddl",
+        }
+        attempt = swept.telemetry.context_for(0).child("attempt", 1)
+        assert payload["context"]["span_id"] == attempt.span_id
+        for span in payload["spans"]:
+            assert span["parent_id"] in by_id or (
+                span["parent_id"] == attempt.span_id
+            )
+
     def test_uninstrumented_paths_record_nothing(self):
         fft = FFT2D(8, 8)
         fft.transform(np.zeros((8, 8)))
         assert fft.spans is None
+
+
+# ----------------------------------------------------------------- properties
+#: A nesting program: a list of spans, each ``(name, children)``.
+programs = st.recursive(
+    st.just([]),
+    lambda children: st.lists(
+        st.tuples(st.sampled_from(["point", "simulate", "generate-trace"]),
+                  children),
+        max_size=3,
+    ),
+    max_leaves=12,
+)
+
+
+def run_program(timeline, program, depth=0, parent=None, out=None):
+    """Open the program's spans on ``timeline``; return the expected
+    ``(name, depth, parent span id, span id)`` of each in start order."""
+    out = [] if out is None else out
+    parent = timeline.context.span_id if parent is None else parent
+    for name, children in program:
+        with timeline.span(name) as context:
+            out.append((name, depth, parent, context.span_id))
+            run_program(timeline, children, depth + 1, context.span_id, out)
+    return out
+
+
+@pytest.mark.property
+class TestSpanTreeProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(program=programs, root=st.one_of(st.none(), st.text(max_size=8)))
+    def test_nesting_programs_build_one_consistent_tree(self, program, root):
+        context = None if root is None else TraceContext.root(root)
+        timeline = SpanTimeline(context)
+        expected = run_program(timeline, program)
+        records = timeline.spans
+        assert timeline.context == (HOST_ROOT if root is None else context)
+
+        # Records come out in start order.
+        assert [(r.name, r.context.span_id) for r in records] == [
+            (name, span_id) for name, _, _, span_id in expected
+        ]
+        starts = [r.start_s for r in records]
+        assert starts == sorted(starts)
+
+        # Every parent is the root context or an earlier record.
+        seen = {timeline.context.span_id}
+        for record, (_, _, parent, _) in zip(records, expected, strict=True):
+            assert record.context.parent_id == parent
+            assert record.context.parent_id in seen
+            assert record.context.trace_id == timeline.context.trace_id
+            seen.add(record.context.span_id)
+
+        # render() indents each record to its nesting depth.
+        if records:
+            lines = timeline.render().splitlines()
+            assert len(lines) == len(records)
+            for line, (name, depth, _, _) in zip(lines, expected, strict=True):
+                assert line.startswith("  " * depth + name)
+                assert not line[2 * depth:].startswith(" ")
+
+        # The same program run again gives identical ids.
+        again = SpanTimeline(context)
+        run_program(again, program)
+        assert [r.context for r in again.spans] == [r.context for r in records]

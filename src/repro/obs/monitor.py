@@ -342,10 +342,11 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     #: Set by :class:`EmbeddedHTTPServer` on the server object.
     server: Any
 
-    #: ``(method, path) -> route(handler, query_string)``.  Any other
+    #: ``(method, path) -> route(handler)``; the query string is
+    #: ignored for routing (a route reads ``self.path`` itself).  Any other
     #: request gets a 404 whose ``endpoints`` list is this table, in
     #: order (``"/path"`` for GET, ``"METHOD /path"`` otherwise).
-    routes: dict[tuple[str, str], Callable[[Any, str], None]] = {}
+    routes: dict[tuple[str, str], Callable[[Any], None]] = {}
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         """Answer a GET through :attr:`routes`."""
@@ -359,7 +360,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         split = urlsplit(self.path)
         route = self.routes.get((method, split.path))
         if route is not None:
-            route(self, split.query)
+            route(self)
             return
         self._send_json(
             {
@@ -503,17 +504,18 @@ class _MonitorHandler(JsonRequestHandler):
 
     server_version = "repro-monitor/1"
 
-    def _status(self, query: str) -> None:
+    def _status(self) -> None:
         self._send_json(self.server.owner.status.snapshot())
 
-    def _metrics(self, query: str) -> None:
+    def _metrics(self) -> None:
         text = render_openmetrics(self.server.owner.status.metrics_snapshot())
         self._send(200, OPENMETRICS_CONTENT_TYPE, text.encode("utf-8"))
 
-    def _logs(self, query: str) -> None:
+    def _logs(self) -> None:
         ring = self.server.owner.ring
         try:
-            n = int(parse_qs(query).get("n", [str(DEFAULT_LOG_TAIL)])[0])
+            query = parse_qs(urlsplit(self.path).query)
+            n = int(query.get("n", [str(DEFAULT_LOG_TAIL)])[0])
         except ValueError:
             self._send_json(
                 {"error": "query parameter n must be an integer"},

@@ -59,21 +59,21 @@ class _ServeHandler(JsonRequestHandler):
     def _service(self) -> PlanService:
         return self.server.owner.service
 
-    def _healthz(self, query: str) -> None:
+    def _healthz(self) -> None:
         self._send_json({"ok": True})
 
-    def _readyz(self, query: str) -> None:
+    def _readyz(self) -> None:
         ready = self._service.ready()
         self._send_json({"ready": ready}, code=200 if ready else 503)
 
-    def _status(self, query: str) -> None:
+    def _status(self) -> None:
         self._send_json(self._service.status_snapshot())
 
-    def _metrics(self, query: str) -> None:
+    def _metrics(self) -> None:
         text = render_openmetrics(self._service.metrics_snapshot())
         self._send(200, OPENMETRICS_CONTENT_TYPE, text.encode("utf-8"))
 
-    def _bundle(self, query: str) -> None:
+    def _bundle(self) -> None:
         recorder = self._service.recorder
         if recorder is None:
             self._send_json(
@@ -86,7 +86,7 @@ class _ServeHandler(JsonRequestHandler):
         else:
             self._send_json(recorder.capture("on-demand"))
 
-    def _plan(self, query: str) -> None:
+    def _plan(self) -> None:
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:

@@ -834,6 +834,11 @@ class PlanService:
         uses; its spans already hang under the attempt's context.
         Telemetry defects are swallowed -- tracing must never fail a
         successful compute.
+
+        ``serve.engine_phase_s`` observes the worker's own ``simulate``
+        span (the child of its ``point`` span) only: the engine's inner
+        ``simulate`` under ``column-phase/<layout>`` shares the name but
+        is a different phase.
         """
         if self.tracer is None or not payload:
             return
@@ -841,9 +846,12 @@ class PlanService:
             worker = align_worker_payload(payload, self._anchor)
         except TelemetryError:
             return
+        point_ids = {
+            span.context.span_id for span in worker.spans if span.name == "point"
+        }
         for span in worker.spans:
             self.tracer.add(replace(span, name=f"worker:{span.name}"))
-            if span.name == "simulate":
+            if span.name == "simulate" and span.context.parent_id in point_ids:
                 with self._metrics_lock:
                     observe_latency(
                         self._latency,

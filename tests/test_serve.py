@@ -689,6 +689,24 @@ class TestRequestTracing:
             s.name for s in served
         )
 
+    def test_engine_phase_histogram_counts_one_sample_per_point(self):
+        from repro.obs.tracectx import RequestTracer
+
+        # One computed point carries two spans named "simulate" (the
+        # worker's and the engine's inside column-phase/ddl); only the
+        # worker's feeds the histogram.
+        tracer = RequestTracer()
+        with PlanService(jobs=1, tracer=tracer) as service:
+            code, envelope, _ = service.handle({**SPEC, "layouts": ["ddl"]})
+            latency = service.status_snapshot()["latency"]
+        assert code == 200
+        simulates = [
+            s for s in tracer.spans_for(envelope["trace_id"])
+            if s.name == "worker:simulate"
+        ]
+        assert len(simulates) == 2
+        assert latency["serve.engine_phase_s"]["count"] == 1
+
     def test_coalesced_requests_link_to_the_owner_trace(self):
         from repro.obs.tracectx import RequestTracer
 

@@ -16,12 +16,20 @@ Telemetry must also never change the deterministic result document --
 ``run_sweep(telemetry=True)`` is asserted byte-identical to the plain
 run before anything is timed.
 
+Each overhead factor is the median of ``pairs`` interleaved
+measurements -- seed replica and telemetry off back to back (their
+order alternating), then telemetry on, timed in CPU seconds with
+:func:`time.process_time` -- so a scheduler hiccup on a shared host
+moves one pair, not the gate.  The quartiles of the off/seed ratios
+are written next to it.
+
 Run quick mode (``pytest benchmarks/bench_telemetry.py --quick``) for
 the CI smoke variant: a smaller workload and looser thresholds.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from conftest import banner, write_bench_json
@@ -38,9 +46,9 @@ from repro.sweep.runner import (
 )
 from repro.obs.telemetry import RunTelemetry, task_telemetry
 
-#: Workload and tolerance per mode: (requests, repeats, off_overhead_cap).
-FULL = (16_384, 5, 1.05)
-QUICK = (2_048, 3, 1.25)
+#: Workload and tolerance per mode: (requests, pairs, off_overhead_cap).
+FULL = (16_384, 9, 1.05)
+QUICK = (2_048, 41, 1.25)
 
 #: Grid the worker-body timing loop walks (point variety, small N).
 GRID = SweepGrid(sizes=(128, 256), layouts=("row-major", "ddl"), heights=(2, 8))
@@ -86,16 +94,11 @@ def build_tasks(requests: int, telemetry: bool) -> list[dict]:
     return tasks
 
 
-def best_of(repeats: int, fn, *args) -> float:
-    """Minimum wall-clock seconds over ``repeats`` calls."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn(*args)
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-    return best
+def cpu_s(fn, *args) -> float:
+    """CPU seconds of this process spent in one call."""
+    start = time.process_time()
+    fn(*args)
+    return time.process_time() - start
 
 
 def run_all(tasks: list[dict], worker) -> None:
@@ -104,7 +107,7 @@ def run_all(tasks: list[dict], worker) -> None:
 
 
 def test_telemetry_off_matches_seed_worker(quick):
-    requests, repeats, cap = QUICK if quick else FULL
+    requests, pairs, cap = QUICK if quick else FULL
     off_tasks = build_tasks(requests, telemetry=False)
     on_tasks = build_tasks(requests, telemetry=True)
 
@@ -117,28 +120,47 @@ def test_telemetry_off_matches_seed_worker(quick):
     traced = run_sweep(GRID, max_requests=requests, telemetry=True)
     assert traced.to_json() == plain.to_json()
 
-    # Interleave warm-up, then best-of timings of all three paths.
+    # Warm up, then time the three paths back to back, pair by pair;
+    # seed and off swap places every pair so drift favours neither.
     run_all(off_tasks, seed_execute_task)
     run_all(off_tasks, _execute_task)
-    seed_s = best_of(repeats, run_all, off_tasks, seed_execute_task)
-    off_s = best_of(repeats, run_all, off_tasks, _execute_task)
-    on_s = best_of(repeats, run_all, on_tasks, _execute_task)
-    ratio = off_s / seed_s
+    seed_times, off_times, on_times = [], [], []
+    for index in range(pairs):
+        if index % 2:
+            off_times.append(cpu_s(run_all, off_tasks, _execute_task))
+            seed_times.append(cpu_s(run_all, off_tasks, seed_execute_task))
+        else:
+            seed_times.append(cpu_s(run_all, off_tasks, seed_execute_task))
+            off_times.append(cpu_s(run_all, off_tasks, _execute_task))
+        on_times.append(cpu_s(run_all, on_tasks, _execute_task))
+    off_q1, ratio, off_q3 = statistics.quantiles(
+        [off / seed for off, seed in zip(off_times, seed_times, strict=True)],
+        n=4,
+        method="inclusive",
+    )
+    on_ratio = statistics.median(
+        on / seed for on, seed in zip(on_times, seed_times, strict=True)
+    )
+    seed_s = statistics.median(seed_times)
+    off_s = statistics.median(off_times)
+    on_s = statistics.median(on_times)
     n_points = len(off_tasks)
 
     print(banner("TELEMETRY: trace-context overhead on the sweep worker"))
     print(f"  workload            : {n_points} points x {requests:,} requests")
     print(f"  seed replica        : {1e3 * seed_s / n_points:7.2f} ms/point")
     print(f"  telemetry off       : {1e3 * off_s / n_points:7.2f} ms/point "
-          f"({ratio:.3f}x seed)")
+          f"({ratio:.3f}x seed, quartiles {off_q1:.3f}-{off_q3:.3f})")
     print(f"  telemetry on        : {1e3 * on_s / n_points:7.2f} ms/point "
-          f"({on_s / seed_s:.3f}x seed)")
+          f"({on_ratio:.3f}x seed)")
 
     write_bench_json(
         "telemetry",
         {
             "off_overhead_x": ratio,
-            "on_overhead_x": on_s / seed_s,
+            "off_overhead_q1": off_q1,
+            "off_overhead_q3": off_q3,
+            "on_overhead_x": on_ratio,
             "seed_ms_per_point": 1e3 * seed_s / n_points,
             "off_ms_per_point": 1e3 * off_s / n_points,
             "on_ms_per_point": 1e3 * on_s / n_points,
@@ -146,7 +168,8 @@ def test_telemetry_off_matches_seed_worker(quick):
         info={
             "points": n_points,
             "requests": requests,
-            "repeats": repeats,
+            "pairs": pairs,
+            "clock": "process_time",
             "quick": quick,
         },
     )
@@ -158,4 +181,4 @@ def test_telemetry_off_matches_seed_worker(quick):
         f"(cap {cap}x)"
     )
     # Tracing costs a bounded constant factor (measured ~1.1x).
-    assert on_s / seed_s < 5.0
+    assert on_ratio < 5.0

@@ -123,15 +123,18 @@ def simulate_optimized_column_phase(
     rounds_total = max(1, layout.blocks_per_row_band // streams)
     with span_or_null(spans, "column-phase/ddl", n=n, streams=streams):
         with span_or_null(spans, "generate-trace"):
+            # Only the priced prefix of the round is generated; a
+            # non-positive budget prices the whole round.
             trace = block_column_read_trace(
                 layout,
                 n_streams=streams,
                 whole_blocks=whole_blocks,
                 block_cols=range(streams),
+                limit=max_requests if max_requests > 0 else None,
             )
-        sample = min(len(trace), max_requests)
-        with span_or_null(spans, "simulate", requests=sample):
-            stats = memory.simulate(trace, "per_vault", sample=sample, engine=engine)
+        with span_or_null(spans, "simulate", requests=len(trace)):
+            stats = memory.simulate(trace, "per_vault", engine=engine)
+        stats = _sampled(stats, len(trace), round_elements)
         stats = _sampled(stats, round_elements, rounds_total * round_elements)
     # First column: a stream fetches its block column's first N elements
     # (w*h per block visit) at the vault beat.

@@ -48,12 +48,13 @@ Two refinements keep the pass count small:
   yields a bound at least as strong.  Pruned links break their chain, so
   scattered access patterns (where bank revisits are far apart) collapse
   to chain A alone.
-* **Blocking.**  The trace is priced in cache-resident blocks; the exact
-  per-bank / per-vault state (open row, earliest next activation, last
-  activation, ready times) is carried across block boundaries and enters
-  the next block as constant lower bounds on each chain's first members.
-  The constraint set is unchanged -- blocking only bounds how far a
-  relaxation pass must propagate.
+* **Blocking.**  The trace is priced in cache-resident blocks of
+  :data:`BLOCK` requests; the exact per-bank / per-vault state (open
+  row, earliest next activation, last activation, ready times) is
+  carried across block boundaries and enters the next block as constant
+  lower bounds on each chain's first members.  The constraint set is
+  unchanged -- blocking only bounds how far a relaxation pass must
+  propagate, and how much memory one block's scratch arrays take.
 
 Closed-form run pricing
 -----------------------
@@ -66,10 +67,17 @@ predecessor (row-stepping runs miss every time) or exactly ``add``
 after it (stride-0 runs hit every time), so the whole run is an
 arithmetic series priced with O(1) scalar work.  Only the run's first
 two requests see carried device state.  The engine walks a compiled
-trace run by run, pricing such uniform-bank runs in closed form and
-batching everything else through the array scan above, with the same
-carried state threaded through both paths -- so the result is still
-bit-identical to the exact engine.  Raw :class:`TraceArray` inputs are
+trace run by run, pricing such multi-request uniform-bank runs in
+closed form and everything else through the array scan above, with the
+same carried state threaded through both paths -- so the result is
+still bit-identical to the exact engine.  The single-request seams
+:func:`~repro.trace.compile.compile_trace` leaves where a stride
+changes join the stretch they sit in instead of splitting it, and an
+array stretch is expanded, decoded and relaxed one :data:`BLOCK`-sized
+window at a time: a trace with no bank-stride run at all (the DDL
+block reads, whose runs are short unit-stride bursts) is priced as a
+few windows of array scan.  Block runs have no closed form yet; they
+cost array-scan time per request.  Raw :class:`TraceArray` inputs are
 auto-compiled when they compress well (see :data:`AUTO_COMPILE_MIN`).
 
 TSV return-link contention never constrains either discipline (the
@@ -117,10 +125,14 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.trace.compile import CompiledTrace
     from repro.trace.request import TraceArray
 
-#: Requests per pricing block.  Big enough to amortize per-block numpy
-#: setup, small enough that the working set stays cache-resident and the
-#: in-block critical path hops between chain families only a few times.
-BLOCK = 1 << 18
+#: Requests per pricing block, and per window of a compiled trace's
+#: array stretch.  Big enough to amortize per-block numpy setup (the
+#: sweep's 65,536-request prefix is four blocks), small enough that the
+#: working set stays cache-resident, the in-block critical path hops
+#: between chain families only a few times, and one block's arrays add
+#: at most ~2.5 MB to the peak RSS of a forked sweep or serve attempt
+#: (one 65,536-request block adds ~10 MB on the same N=512 points).
+BLOCK = 1 << 14
 
 #: Upper bound on relaxation sweeps within one block before the engine
 #: gives up and the caller falls back to the exact loop.  Real traces
@@ -363,8 +375,7 @@ class _Engine:
                 vs = va_b[ov]
                 head_v = _changes(vs)
                 v_starts = np.flatnonzero(head_v)
-                seg_v = np.cumsum(head_v, dtype=np.int64) - 1
-                rank_sorted = pos_b - v_starts[seg_v]
+                rank_sorted = pos_b - v_starts[np.cumsum(head_v, dtype=np.int64) - 1]
                 rank = np.empty(m, dtype=np.int64)
                 rank[ov] = rank_sorted
                 # misses in vault order, program order within each vault:
@@ -378,10 +389,9 @@ class _Engine:
             # consecutive same-bank activations is already wider.
             head_b = head_b0.copy()
             if len(ob) > 1:
-                dist_b = np.empty(len(ob), dtype=np.int64)
-                dist_b[0] = 0
-                dist_b[1:] = rank[ob[1:]] - rank[ob[:-1]]
-                head_b |= dist_b * min_add >= t_diff_row
+                dist_b = rank[ob[1:]] - rank[ob[:-1]]
+                head_b[1:] |= dist_b * min_add >= t_diff_row
+                del dist_b
             has_b = len(ob) > 1 and bool((~head_b).any())
 
             # Chain C: layer-dependent step; same-bank links are chain B's,
@@ -396,11 +406,15 @@ class _Engine:
                 )
                 step_c = np.concatenate(([0], step_c))
                 head_c[1:] |= ba_oc[1:] == ba_oc[:-1]
-                dist_c = np.empty(len(oc), dtype=np.int64)
-                dist_c[0] = 0
-                dist_c[1:] = rank[oc[1:]] - rank[oc[:-1]]
-                head_c |= dist_c * min_add >= step_c
+                dist_c = rank[oc[1:]] - rank[oc[:-1]]
+                head_c[1:] |= dist_c * min_add >= step_c[1:]
+                del ba_oc, dist_c
             has_c = len(oc) > 1 and bool((~head_c).any())
+
+            # The classification scratch is dead from here on; free it
+            # before the relaxation allocates its own, so a block's peak
+            # working set is one set of chain arrays, not two.
+            del og, gs, rs, hit_sorted, miss_sorted, rank
 
             # --- seed the beat times with every constant lower bound ------
             a = (
@@ -627,9 +641,9 @@ def _decode(
         remapped = remap_arr[vaults_arr]
         faults.remapped_requests = int((remapped != vaults_arr).sum())
         vaults_arr = remapped
-    vaults64 = vaults_arr.astype(np.int64)
-    banks64 = banks_arr.astype(np.int64)
-    rows64 = rows_arr.astype(np.int64)
+    vaults64 = vaults_arr.astype(np.int64, copy=False)
+    banks64 = banks_arr.astype(np.int64, copy=False)
+    rows64 = rows_arr.astype(np.int64, copy=False)
     gbank = vaults64 * memory.config.banks_per_vault + banks64
     return vaults64, banks64, rows64, gbank
 
@@ -723,10 +737,16 @@ def _price_compiled(
 ) -> None:
     """Walk a compiled trace, pricing runs in closed form where possible.
 
-    Runs whose stride pins every request to one bank (or single-request
-    runs) go through :meth:`_Engine.price_run`; maximal stretches of
-    everything else are expanded and batched through the array scan.
-    The carried state makes the interleaving exact.
+    Multi-request runs whose stride pins every request to one bank go
+    through :meth:`_Engine.price_run`; maximal stretches of everything
+    else go through the array scan, expanded, decoded and relaxed one
+    window of at most :data:`BLOCK` requests at a time, so a stretch's
+    working set never outgrows one pricing block.  A single-request run
+    (the seam :func:`~repro.trace.compile.compile_trace` leaves where a
+    stride changes) takes the kind of the last multi-request run before
+    it, so seams never split an array stretch: a trace with no
+    bank-stride run is priced by the array scan alone.  The carried
+    state makes the interleaving exact.
     """
     from repro.trace.compile import expand_runs
 
@@ -749,7 +769,12 @@ def _price_compiled(
     bank_stride = cfg.row_bytes << (
         mapping._vault_bits + mapping._bank_bits
     )
-    closed = (counts == 1) | (steps % bank_stride == 0)
+    multi = counts > 1
+    closed = multi & (steps % bank_stride == 0)
+    last_multi = np.maximum.accumulate(
+        np.where(multi, np.arange(len(runs), dtype=np.int64), -1)
+    )
+    closed = (last_multi >= 0) & closed[np.maximum(last_multi, 0)]
 
     # Maximal stretches of same-kind runs, walked in order.
     stretch_starts = np.flatnonzero(_changes(closed))
@@ -784,9 +809,19 @@ def _price_compiled(
                     count=count,
                     base=bases_l[r],
                 )
-        else:
-            addresses, _ = expand_runs(runs[s:e])
-            va, ba, rows, gbank = _decode(memory, addresses, None)
+            continue
+        stop = bases_l[e - 1] + counts_l[e - 1]
+        for lo in range(bases_l[s], stop, BLOCK):
+            hi = min(lo + BLOCK, stop)
+            # Runs overlapping [lo, hi), clipped to it.
+            first = int(np.searchsorted(bases[s:e], lo, side="right")) - 1 + s
+            last = int(np.searchsorted(bases[s:e], hi, side="left")) + s
+            window = runs[first:last].copy()
+            skip = lo - bases_l[first]
+            window["start"][0] += skip * window["step"][0]
+            window["count"][0] -= skip
+            window["count"][-1] -= bases_l[last - 1] + counts_l[last - 1] - hi
+            va, ba, rows, gbank = _decode(memory, expand_runs(window)[0], None)
             engine.price_arrays(
                 va,
                 ba,
@@ -795,5 +830,5 @@ def _price_compiled(
                 add=None,
                 min_add=engine.t_in_row,
                 arrivals=None,
-                base=bases_l[s],
+                base=lo,
             )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import TraceError
+from repro.errors import LayoutError, TraceError
 from repro.layouts.base import Layout
 from repro.layouts.block_ddl import BlockDDLLayout
 from repro.trace.request import TraceArray
@@ -103,18 +103,17 @@ def block_write_trace(
     The controlling unit stages ``h`` FFT output rows on chip, then writes
     each slab's blocks in block-column order; every block is one contiguous
     memory-row burst, and consecutive blocks land in consecutive vaults.
+    Blocks are stored in row-major block order, so a slab is one
+    contiguous stretch of ``h * n_cols`` elements.
     """
     band = block_rows if block_rows is not None else range(layout.n_block_rows)
-    block_bytes = layout.block_elements * ELEMENT_BYTES
-    offsets = np.arange(layout.block_elements, dtype=np.int64) * ELEMENT_BYTES
-    pieces = []
-    for block_r in band:
-        for block_c in range(layout.blocks_per_row_band):
-            base = layout.block_base_address(block_r, block_c)
-            pieces.append(base + offsets)
-    addresses = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+    slab_rows = np.fromiter(band, dtype=np.int64)
+    _check_block_range(slab_rows, layout.n_block_rows, "row")
+    slab = layout.blocks_per_row_band * layout.block_elements
+    elements = slab_rows[:, None] * slab + np.arange(slab, dtype=np.int64)
+    addresses = layout.base + elements.ravel() * ELEMENT_BYTES
     trace = TraceArray(addresses, is_write=True)
-    _check_block_alignment(addresses, block_bytes)
+    _check_block_alignment(addresses, layout.block_elements * ELEMENT_BYTES)
     return trace
 
 
@@ -123,6 +122,7 @@ def block_column_read_trace(
     n_streams: int,
     whole_blocks: bool = True,
     block_cols: range | None = None,
+    limit: int | None = None,
 ) -> TraceArray:
     """Phase-2 reads under the DDL.
 
@@ -140,60 +140,55 @@ def block_column_read_trace(
 
     The returned trace interleaves the streams round-robin at visit
     granularity, matching how the per-vault controllers see concurrent
-    queues; simulate it with the ``per_vault`` discipline.
+    queues; simulate it with the ``per_vault`` discipline.  Stream ``s``
+    owns the ``s``-th entry of ``block_cols``; entries past the first
+    ``n_streams`` are not read.
+
+    ``limit`` builds only the first ``limit`` requests of that trace
+    (``None`` builds all of it), so a caller that prices a sampled
+    prefix never generates the rest.  Every visit's burst start is
+    computed with array arithmetic: visit ``k`` belongs to stream
+    ``k % S`` at that stream's visit index ``k // S``.
     """
     if n_streams <= 0:
         raise TraceError(f"n_streams must be positive, got {n_streams}")
+    if limit is not None and limit < 0:
+        raise TraceError(f"limit must be non-negative, got {limit}")
     cols = block_cols if block_cols is not None else range(layout.blocks_per_row_band)
-    cols = list(cols)
-    if not cols:
-        return TraceArray(np.empty(0, dtype=np.int64))
-
+    stream_cols = np.fromiter(cols, dtype=np.int64)[:n_streams]
+    _check_block_range(stream_cols, layout.blocks_per_row_band, "col")
+    n_rows = layout.n_block_rows
     height = layout.height
     per_visit = layout.block_elements if whole_blocks else height
-    offsets = np.arange(per_visit, dtype=np.int64) * ELEMENT_BYTES
+    visits_per_stream = n_rows if whole_blocks else layout.width * n_rows
+    total = len(stream_cols) * visits_per_stream * per_visit
+    wanted = total if limit is None else min(limit, total)
+    if wanted == 0:
+        return TraceArray(np.empty(0, dtype=np.int64))
 
-    stream_traces: list[np.ndarray] = []
-    for stream, block_c in enumerate(cols):
-        if stream >= n_streams:
-            break
-        pieces = []
-        if whole_blocks:
-            for block_r in range(layout.n_block_rows):
-                base = layout.block_base_address(block_r, block_c)
-                pieces.append(base + offsets)
-        else:
-            # One matrix column at a time: walk the whole block column for
-            # local column 0, then for local column 1, and so on.  Interior
-            # storage is column-major, so a column slice is one burst.
-            for local_col in range(layout.width):
-                for block_r in range(layout.n_block_rows):
-                    base = layout.block_base_address(block_r, block_c)
-                    start = base + local_col * height * ELEMENT_BYTES
-                    pieces.append(start + offsets)
-        stream_traces.append(np.concatenate(pieces))
-
-    interleaved = _interleave(stream_traces, per_visit)
-    return TraceArray(interleaved)
+    # Visit k: stream k % S, that stream's visit j = k // S.  A stream
+    # walks its block column top to bottom (whole blocks), or -- one
+    # matrix column at a time -- local column j // n_rows of block row
+    # j % n_rows; interior storage is column-major, so a column slice
+    # is one contiguous burst.
+    visits = np.arange(-(-wanted // per_visit), dtype=np.int64)
+    j, stream = np.divmod(visits, len(stream_cols))
+    if whole_blocks:
+        block_r, local_col = j, 0
+    else:
+        local_col, block_r = np.divmod(j, n_rows)
+    block = block_r * layout.blocks_per_row_band + stream_cols[stream]
+    first = block * layout.block_elements + local_col * height
+    elements = first[:, None] + np.arange(per_visit, dtype=np.int64)
+    addresses = layout.base + elements.ravel()[:wanted] * ELEMENT_BYTES
+    return TraceArray(addresses)
 
 
-def _interleave(streams: list[np.ndarray], burst: int) -> np.ndarray:
-    """Round-robin merge of per-stream address arrays in bursts."""
-    if len(streams) == 1:
-        return streams[0]
-    chunks: list[np.ndarray] = []
-    cursors = [0] * len(streams)
-    remaining = sum(s.size for s in streams)
-    while remaining:
-        for idx, stream in enumerate(streams):
-            cursor = cursors[idx]
-            if cursor >= stream.size:
-                continue
-            end = min(cursor + burst, stream.size)
-            chunks.append(stream[cursor:end])
-            cursors[idx] = end
-            remaining -= end - cursor
-    return np.concatenate(chunks)
+def _check_block_range(indices: np.ndarray, extent: int, axis: str) -> None:
+    """Reject block rows/columns outside the layout, as the layout does."""
+    bad = indices[(indices < 0) | (indices >= extent)]
+    if bad.size:
+        raise LayoutError(f"block {axis} {int(bad[0])} out of range")
 
 
 def _check_block_alignment(addresses: np.ndarray, block_bytes: int) -> None:

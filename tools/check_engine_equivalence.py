@@ -58,6 +58,7 @@ from repro.memory3d.config import (  # noqa: E402
     pact15_hmc_config,
     wideio_like_config,
 )
+from repro.memory3d.vector import BLOCK  # noqa: E402
 from repro.trace.generators import (  # noqa: E402
     linear_trace,
     strided_trace,
@@ -69,6 +70,10 @@ from repro.trace.generators import (  # noqa: E402
 #: prices the whole corpus in seconds.
 N = 64
 
+#: A stride that keeps every request of a run on one bank on every
+#: corpus config (the largest full vault x bank interleave among them).
+BANK_STRIDE = 1 << 17
+
 
 def build_traces() -> dict[str, TraceArray]:
     """The trace corpus: one entry per generator x layout family."""
@@ -76,6 +81,7 @@ def build_traces() -> dict[str, TraceArray]:
     cm = ColumnMajorLayout(N, N)
     tiled = TiledLayout(N, N, 16, 16)
     ddl = BlockDDLLayout(N, N, width=16, height=16)
+    sweep_ddl = BlockDDLLayout(N, 4 * N, width=8, height=4)
     rng = np.random.default_rng(20150214)
     random_addr = rng.integers(0, (N * N), size=N * N, dtype=np.int64) * 8
     arrivals = np.cumsum(rng.uniform(0.0, 3.0, size=N * N))
@@ -98,8 +104,52 @@ def build_traces() -> dict[str, TraceArray]:
         "linear-arrivals": TraceArray(
             linear_trace(0, N * N).addresses, arrival_ns=arrivals
         ),
+        # The sweep's narrow DDL shape on a 32-element row: h=4, w=8,
+        # 16 of 32 block columns streamed, priced as a prefix the way the
+        # sweep does.
+        "ddl-h4-read-prefix": block_column_read_trace(
+            sweep_ddl, n_streams=16, limit=3000
+        ),
+        "ddl-h4-narrow-read-prefix": block_column_read_trace(
+            sweep_ddl, n_streams=16, whole_blocks=False, limit=3000
+        ),
+        "mixed-runs": mixed_run_trace(rng),
+        # A stride-8 run that crosses a pricing-window boundary.
+        "window-crossing": TraceArray(
+            np.concatenate(
+                (
+                    rng.integers(0, N * N, size=5, dtype=np.int64) * 8,
+                    linear_trace(1 << 20, BLOCK + 1500).addresses,
+                    strided_trace(1 << 22, 40, BANK_STRIDE).addresses,
+                )
+            )
+        ),
     }
     return traces
+
+
+def mixed_run_trace(rng: np.random.Generator) -> TraceArray:
+    """Bank-stride runs, singleton seams and array runs, interleaved.
+
+    Compiled, it exercises every kind transition of the run walker:
+    leading singletons, seams after closed and after array runs, a
+    stride-0 (all-hit) run and row-stepping bank-stride runs.
+    """
+    singles = rng.integers(0, N * N, size=12, dtype=np.int64) * 8
+    pieces = [
+        singles[:3],
+        strided_trace(0, 48, BANK_STRIDE).addresses,
+        singles[3:4],
+        linear_trace(4096, 300).addresses,
+        singles[4:9],
+        linear_trace(1 << 16, 200, stride_elements=3).addresses,
+        np.full(24, 1 << 21, dtype=np.int64),
+        strided_trace(8 << 10, 32, BANK_STRIDE).addresses,
+        singles[9:],
+        column_walk_trace(RowMajorLayout(N, N), cols=range(3)).addresses,
+        linear_trace(1 << 18, 100).addresses,
+    ]
+    return TraceArray(np.concatenate(pieces))
 
 
 def build_configs() -> dict[str, Any]:
